@@ -23,9 +23,13 @@
 // case (the deadlock-free lease protocol refuses to wait while holding
 // a lease, so racing tenants degrade to recomputation), and the bench
 // reports how much sharing survives it rather than gating on timing.
-// Emits BENCH_shared_cache.json.
+// Fleet wall time (sum of per-tenant ExecuteWorkflow calls, uncached vs
+// the gated cached pass) is reported alongside the row counts so a
+// probe that costs more than it saves shows up; it is informational and
+// carries no gate. Emits BENCH_shared_cache.json.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,7 +55,14 @@ struct Tenant {
   ExecutionInput input;
   ExecutionResult uncached;
   size_t uncached_work = 0;
+  double uncached_ms = 0;
 };
+
+double MillisSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 size_t TotalRowsOut(const ExecutionResult& r) {
   size_t n = 0;
@@ -77,7 +88,9 @@ std::vector<Tenant> MakeTenants(double overlap, size_t rows_per_source) {
     // data across tenants — the premise of cross-tenant sharing.
     tenants[t].input =
         GenerateInputFor(tenants[t].workflow, 4242, rows_per_source);
+    auto t0 = std::chrono::steady_clock::now();
     auto r = ExecuteWorkflow(tenants[t].workflow, tenants[t].input);
+    tenants[t].uncached_ms = MillisSince(t0);
     ETLOPT_CHECK_OK(r.status());
     tenants[t].uncached = std::move(r).value();
     tenants[t].uncached_work = TotalRowsOut(tenants[t].uncached);
@@ -89,6 +102,8 @@ struct OverlapFigures {
   size_t uncached_work = 0;
   size_t cached_work = 0;        // sequential arrivals (the gated pass)
   size_t concurrent_work = 0;    // simultaneous cold start (informational)
+  double uncached_ms = 0;        // fleet wall time, summed over tenants
+  double cached_ms = 0;          // same, for the gated cached pass
   double work_ratio = 0;
   double concurrent_ratio = 0;
   double hit_rate_pct = 0;
@@ -108,7 +123,10 @@ OverlapFigures RunOverlap(double overlap, size_t rows_per_source) {
   std::vector<Tenant> tenants = MakeTenants(overlap, rows_per_source);
 
   OverlapFigures figures;
-  for (const Tenant& t : tenants) figures.uncached_work += t.uncached_work;
+  for (const Tenant& t : tenants) {
+    figures.uncached_work += t.uncached_work;
+    figures.uncached_ms += t.uncached_ms;
+  }
 
   // Gate 3 material: the cache-off path (default CacheOptions) must be
   // bit-identical to the plain engine run.
@@ -130,7 +148,9 @@ OverlapFigures RunOverlap(double overlap, size_t rows_per_source) {
     CacheOptions copts;
     copts.cache = &cache;
     for (size_t t = 0; t < kTenants; ++t) {
+      auto t0 = std::chrono::steady_clock::now();
       auto r = ExecuteWorkflow(tenants[t].workflow, tenants[t].input, copts);
+      figures.cached_ms += MillisSince(t0);
       ETLOPT_CHECK_OK(r.status());
       figures.cached_work += r->cache.rows_computed;
       if (!SameResult(*r, tenants[t].uncached)) {
@@ -201,10 +221,11 @@ int Run() {
     OverlapFigures f = RunOverlap(overlap, rows_per_source);
     std::printf(
         "overlap=%.1f  work uncached=%10zu cached=%10zu ratio=%6.2fx  "
-        "hit=%5.1f%% bytes=%zu  concurrent=%6.2fx "
-        "(coalesced=%llu busy=%llu) %s\n",
+        "hit=%5.1f%% bytes=%zu  wall uncached=%.1fms cached=%.1fms  "
+        "concurrent=%6.2fx (coalesced=%llu busy=%llu) %s\n",
         overlap, f.uncached_work, f.cached_work, f.work_ratio,
-        f.hit_rate_pct, f.cache_bytes, f.concurrent_ratio,
+        f.hit_rate_pct, f.cache_bytes, f.uncached_ms, f.cached_ms,
+        f.concurrent_ratio,
         static_cast<unsigned long long>(f.concurrent_coalesced),
         static_cast<unsigned long long>(f.concurrent_busy),
         f.byte_identical ? "" : "OUTPUT-MISMATCH");
@@ -217,6 +238,8 @@ int Run() {
     report.Add(prefix + ".hit_rate", f.hit_rate_pct, "percent");
     report.Add(prefix + ".cache_bytes",
                static_cast<double>(f.cache_bytes), "bytes");
+    report.Add(prefix + ".uncached_wall_ms", f.uncached_ms, "ms");
+    report.Add(prefix + ".cached_wall_ms", f.cached_ms, "ms");
     report.Add(prefix + ".concurrent_work_ratio", f.concurrent_ratio, "x");
     report.Add(prefix + ".concurrent_coalesced",
                static_cast<double>(f.concurrent_coalesced), "flights");

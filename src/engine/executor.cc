@@ -92,7 +92,9 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
       }
       result.rows_out[id] = rows->size();
       flows[id] = std::move(rows).value();
-      plan.OnActivityComputed(id, flows[id], result.rows_out);
+      if (plan.Leased(id)) {
+        plan.OnActivityComputed(id, flows[id], result.rows_out);
+      }
     }
   }
   plan.Finalize(result);

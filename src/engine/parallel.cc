@@ -535,7 +535,9 @@ StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
     }
     result.rows_out[id] = cur.size();
     flows[id] = std::move(cur);
-    plan.OnActivityComputed(id, flows[id], result.rows_out);
+    if (plan.Leased(id)) {
+      plan.OnActivityComputed(id, flows[id], result.rows_out);
+    }
   }
   plan.Finalize(result);
   return result;

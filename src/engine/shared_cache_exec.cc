@@ -80,8 +80,8 @@ bool CachePlan::IsCutPoint(NodeId id) const {
   if (options_cut_points_ == CutPointPolicy::kAll) return true;
   if (HasBlockingMember(workflow_.chain(id))) return true;
   for (NodeId c : workflow_.Consumers(id)) {
-    if (workflow_.IsRecordSet(c)) return true;          // stage boundary
-    if (workflow_.Providers(c).size() > 1) return true;  // union provider
+    if (workflow_.IsRecordSet(c)) return true;  // stage boundary
+    if (providers_[c].size() > 1) return true;  // union provider
   }
   return false;
 }
@@ -110,6 +110,7 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
     return LookupFingerprint(it->second);
   };
   signatures_ = AllSubgraphResultSignatures(workflow_, sig_in);
+  providers_ = BuildProviderIndex(workflow_);
 
   // Acquire pass, downstream-first: a hit at a cut point suppresses every
   // probe inside its cone; reverse topo order guarantees a node already
@@ -150,7 +151,7 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
     // Transfer the publisher's per-node bookkeeping by canonical DFS
     // position. Equal signatures guarantee positionally matching cones;
     // a size mismatch means a collision — treat as a miss.
-    std::vector<NodeId> cone = SubtreeNodes(workflow_, id);
+    std::vector<NodeId> cone = SubtreeNodes(providers_, id);
     if (entry->subtree_rows_out.size() != cone.size()) {
       ++stats_.misses;
       continue;
@@ -179,7 +180,7 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
     if (needed_[id]) continue;
     needed_[id] = 1;
     if (served_.count(id) != 0) continue;  // cone served: don't descend
-    for (NodeId p : workflow_.Providers(id)) stack.push_back(p);
+    for (NodeId p : providers_[id]) stack.push_back(p);
   }
 }
 
@@ -199,7 +200,7 @@ const CachedSubgraphResult* CachePlan::Served(NodeId id) const {
   return it == served_.end() ? nullptr : it->second.get();
 }
 
-void CachePlan::OnActivityComputed(NodeId id, const std::vector<Record>& rows,
+void CachePlan::OnActivityComputed(NodeId id, std::vector<Record> rows,
                                    const std::map<NodeId, size_t>& rows_out) {
   if (!enabled_) return;
   auto lease = leases_.find(id);
@@ -211,8 +212,8 @@ void CachePlan::OnActivityComputed(NodeId id, const std::vector<Record>& rows,
     return;
   }
   auto entry = std::make_shared<CachedSubgraphResult>();
-  entry->rows = rows;
-  std::vector<NodeId> cone = SubtreeNodes(workflow_, id);
+  entry->rows = std::move(rows);
+  std::vector<NodeId> cone = SubtreeNodes(providers_, id);
   entry->subtree_rows_out.reserve(cone.size());
   for (NodeId n : cone) {
     if (workflow_.IsRecordSet(n)) {

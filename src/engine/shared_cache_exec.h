@@ -20,11 +20,12 @@
 //     stops descending at served nodes. Skip(id) nodes never execute.
 //
 // During the loop the engine asks Served(id) (inject these rows instead
-// of computing), calls OnActivityComputed after every computed activity
-// node (publishes if leased), and Finalize at the end (merges transferred
-// rows_out, fills ExecutionResult::cache). The destructor aborts any
-// lease the run did not get to publish — error paths and injected faults
-// degrade to other runs recomputing, never to a hang.
+// of computing), hands a computed activity node's rows to
+// OnActivityComputed when Leased(id) (publication), and calls Finalize
+// at the end (merges transferred rows_out, fills ExecutionResult::cache).
+// The destructor aborts any lease the run did not get to publish — error
+// paths and injected faults degrade to other runs recomputing, never to
+// a hang.
 //
 // With CacheOptions::cache == nullptr the plan is inert: every query
 // returns the legacy answer and the engine takes its old path bit for
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "graph/subgraph_signature.h"
 #include "service/shared_result_cache.h"
 
 namespace etlopt {
@@ -64,15 +66,16 @@ class CachePlan {
   /// entry->rows as the node's output instead of executing its cone.
   const CachedSubgraphResult* Served(NodeId id) const;
 
-  /// True iff the run holds an unpublished lease on `id`. Engines whose
-  /// flows are not plain rows (vectorized) use this to materialize rows
-  /// only where a publication will actually happen.
+  /// True iff the run holds an unpublished lease on `id`. Engines ask
+  /// this after computing an activity node, so rows are copied (or, in
+  /// the vectorized engine, flattened) only where a publication happens.
   bool Leased(NodeId id) const { return enabled_ && leases_.count(id) != 0; }
 
-  /// Engines call this after computing any activity node's rows (with
-  /// the run's rows_out filled for every node computed so far). If the
-  /// run holds a lease on `id`, the rows are published for other runs.
-  void OnActivityComputed(NodeId id, const std::vector<Record>& rows,
+  /// Publishes a leased node's computed rows for other runs; the entry
+  /// takes ownership of `rows`. `rows_out` holds the run's counts for
+  /// every node computed so far. A call for a node without a lease is a
+  /// no-op.
+  void OnActivityComputed(NodeId id, std::vector<Record> rows,
                           const std::map<NodeId, size_t>& rows_out);
 
   /// Merges cache-transferred rows_out entries into `result` and fills
@@ -88,6 +91,7 @@ class CachePlan {
   bool enabled_ = false;
   bool publish_ = false;
   std::vector<uint64_t> signatures_;  // NodeId-indexed
+  ProviderIndex providers_;           // built once; every cone walk reuses it
   std::vector<char> needed_;          // NodeId-indexed
   std::map<NodeId, std::shared_ptr<const CachedSubgraphResult>> served_;
   std::map<NodeId, uint64_t> leases_;  // unreleased leases, by cut node

@@ -1,6 +1,7 @@
 #include "graph/subgraph_signature.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "activity/activity.h"
@@ -26,32 +27,118 @@ inline uint64_t FoldByte(uint64_t h, unsigned char b) {
   return (h ^ b) * 1099511628211ull;
 }
 
-inline uint64_t FoldString(uint64_t h, std::string_view s) {
-  h = FoldU64(h, s.size());
-  return Fnv1a64(s, h);
+// Byte images of the folds: Fnv1a64 over the appended bytes continues a
+// hash exactly as FoldU64 / a length-prefixed string / a schema fold
+// would, so per-node content is spelled out once and folded per visit.
+void AppendU64(std::string& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-uint64_t FoldSchema(uint64_t h, const Schema& schema) {
-  h = FoldU64(h, schema.size());
+void AppendString(std::string& out, std::string_view s) {
+  AppendU64(out, s.size());
+  out.append(s);
+}
+
+void AppendSchema(std::string& out, const Schema& schema) {
+  AppendU64(out, schema.size());
   for (const Attribute& a : schema.attributes()) {
-    h = FoldString(h, a.name);
-    h = FoldByte(h, static_cast<unsigned char>(a.type));
+    AppendString(out, a.name);
+    out.push_back(static_cast<char>(a.type));
   }
-  return h;
 }
 
-// Port-ordered provider index for the whole workflow, built in one edge
-// pass (Providers() is an O(E) scan per call — too slow inside a DFS).
-std::vector<std::vector<NodeId>> BuildProviderIndex(const Workflow& w) {
-  size_t slots = 1;
+// Per-node content, NodeId-indexed: every byte a visit folds for the
+// node after its providers, spelled out once per signature call. Each
+// distinct source/lookup name reaches its fingerprint callback once.
+std::vector<std::string> NodeContents(const Workflow& w,
+                                      const ProviderIndex& providers,
+                                      const SubgraphSignatureInputs& inputs) {
+  std::map<std::string, uint64_t> sources, lookups;
+  auto fingerprint = [](const auto& fn, std::map<std::string, uint64_t>& memo,
+                        const std::string& name) {
+    auto [it, inserted] = memo.try_emplace(name, 0);
+    if (inserted) it->second = fn ? fn(name) : Fnv1a64(name);
+    return it->second;
+  };
+  std::vector<std::string> out(providers.size());
   for (NodeId id : w.NodeIds()) {
+    std::string& bytes = out[id];
+    if (w.IsRecordSet(id)) {
+      const RecordSetDef& def = w.recordset(id);
+      if (providers[id].empty()) {
+        bytes.push_back('S');
+        AppendSchema(bytes, def.schema);
+        AppendU64(bytes, fingerprint(inputs.source_fingerprint, sources,
+                                     def.name));
+      } else {
+        bytes.push_back('G');  // staging: realigns to the declared schema
+        AppendSchema(bytes, def.schema);
+      }
+      continue;
+    }
+    bytes.push_back('A');
+    const ActivityChain& chain = w.chain(id);
+    AppendU64(bytes, chain.size());
+    for (const ActivityChain::Member& m : chain.members()) {
+      AppendString(bytes, m.activity.SemanticsString());
+      if (m.activity.kind() == ActivityKind::kSurrogateKey) {
+        const auto& p = m.activity.params_as<SurrogateKeyParams>();
+        AppendU64(bytes, fingerprint(inputs.lookup_fingerprint, lookups,
+                                     p.lookup_name));
+      }
+    }
+    AppendSchema(bytes, w.OutputSchema(id));
+  }
+  return out;
+}
+
+// One root's DFS: threads the running hash through a canonical pre-order
+// walk, folding structure (first-visit indices, back-references, port
+// order) and, when `content` is set, per-node content. `order` collects
+// the first-visit enumeration; Reset() readies the walker for the next
+// root in time proportional to the last cone.
+struct ConeWalker {
+  const ProviderIndex& providers;
+  const std::vector<std::string>* content;  // NodeContents, or null
+  std::vector<int> index;  // NodeId -> first-visit index, -1 = unvisited
+  std::vector<NodeId> order;
+
+  ConeWalker(const ProviderIndex& p, const std::vector<std::string>* c)
+      : providers(p), content(c), index(p.size(), -1) {}
+
+  uint64_t Visit(uint64_t h, NodeId id) {
+    if (index[id] >= 0) {  // shared upstream node: explicit back-reference
+      h = FoldByte(h, 'R');
+      return FoldU64(h, static_cast<uint64_t>(index[id]));
+    }
+    index[id] = static_cast<int>(order.size());
+    order.push_back(id);
+    h = FoldByte(h, 'N');
+    const std::vector<NodeId>& provs = providers[id];
+    h = FoldU64(h, provs.size());
+    for (NodeId p : provs) h = Visit(h, p);
+    if (content != nullptr) h = Fnv1a64((*content)[id], h);
+    return h;
+  }
+
+  void Reset() {
+    for (NodeId n : order) index[n] = -1;
+    order.clear();
+  }
+};
+
+}  // namespace
+
+ProviderIndex BuildProviderIndex(const Workflow& workflow) {
+  size_t slots = 1;
+  for (NodeId id : workflow.NodeIds()) {
     slots = std::max(slots, static_cast<size_t>(id) + 1);
   }
   std::vector<std::vector<std::pair<int, NodeId>>> by_port(slots);
-  for (const WorkflowEdge& e : w.edges()) {
+  for (const WorkflowEdge& e : workflow.edges()) {
     by_port[e.to].push_back({e.port, e.from});
   }
-  std::vector<std::vector<NodeId>> out(slots);
+  ProviderIndex out(slots);
   for (size_t i = 0; i < slots; ++i) {
     std::sort(by_port[i].begin(), by_port[i].end());
     out[i].reserve(by_port[i].size());
@@ -60,81 +147,28 @@ std::vector<std::vector<NodeId>> BuildProviderIndex(const Workflow& w) {
   return out;
 }
 
-// One root's DFS: threads the running hash through a canonical pre-order
-// walk, folding structure (first-visit indices, back-references, port
-// order) and per-node content. `order`, when non-null, collects the
-// first-visit enumeration.
-struct SignatureWalker {
-  const Workflow& w;
-  const std::vector<std::vector<NodeId>>& providers;
-  const SubgraphSignatureInputs& inputs;
-  std::vector<int> index;  // NodeId -> first-visit index, -1 = unvisited
-  int next_index = 0;
-  std::vector<NodeId>* order = nullptr;
-
-  uint64_t Visit(uint64_t h, NodeId id) {
-    if (index[id] >= 0) {  // shared upstream node: explicit back-reference
-      h = FoldByte(h, 'R');
-      return FoldU64(h, static_cast<uint64_t>(index[id]));
-    }
-    index[id] = next_index++;
-    if (order != nullptr) order->push_back(id);
-    h = FoldByte(h, 'N');
-    const std::vector<NodeId>& provs = providers[id];
-    h = FoldU64(h, provs.size());
-    for (NodeId p : provs) h = Visit(h, p);
-    if (w.IsRecordSet(id)) {
-      const RecordSetDef& def = w.recordset(id);
-      if (provs.empty()) {
-        h = FoldByte(h, 'S');
-        h = FoldSchema(h, def.schema);
-        h = FoldU64(h, inputs.source_fingerprint
-                           ? inputs.source_fingerprint(def.name)
-                           : Fnv1a64(def.name));
-      } else {
-        h = FoldByte(h, 'G');  // staging: realigns to the declared schema
-        h = FoldSchema(h, def.schema);
-      }
-    } else {
-      h = FoldByte(h, 'A');
-      const ActivityChain& chain = w.chain(id);
-      h = FoldU64(h, chain.size());
-      for (const ActivityChain::Member& m : chain.members()) {
-        h = FoldString(h, m.activity.SemanticsString());
-        if (m.activity.kind() == ActivityKind::kSurrogateKey) {
-          const auto& p = m.activity.params_as<SurrogateKeyParams>();
-          h = FoldU64(h, inputs.lookup_fingerprint
-                             ? inputs.lookup_fingerprint(p.lookup_name)
-                             : Fnv1a64(p.lookup_name));
-        }
-      }
-      h = FoldSchema(h, w.OutputSchema(id));
-    }
-    return h;
-  }
-};
-
-}  // namespace
-
 uint64_t SubgraphResultSignature(const Workflow& workflow, NodeId root,
                                  const SubgraphSignatureInputs& inputs) {
   ETLOPT_CHECK(workflow.fresh());
   ETLOPT_CHECK(workflow.Exists(root));
-  auto providers = BuildProviderIndex(workflow);
-  SignatureWalker walker{workflow, providers, inputs};
-  walker.index.assign(providers.size(), -1);
+  ProviderIndex providers = BuildProviderIndex(workflow);
+  std::vector<std::string> content =
+      NodeContents(workflow, providers, inputs);
+  ConeWalker walker(providers, &content);
   return walker.Visit(kSubgraphSigSalt, root);
 }
 
 std::vector<uint64_t> AllSubgraphResultSignatures(
     const Workflow& workflow, const SubgraphSignatureInputs& inputs) {
   ETLOPT_CHECK(workflow.fresh());
-  auto providers = BuildProviderIndex(workflow);
+  ProviderIndex providers = BuildProviderIndex(workflow);
+  std::vector<std::string> content =
+      NodeContents(workflow, providers, inputs);
+  ConeWalker walker(providers, &content);
   std::vector<uint64_t> out(providers.size(), 0);
   for (NodeId id : workflow.NodeIds()) {
-    SignatureWalker walker{workflow, providers, inputs};
-    walker.index.assign(providers.size(), -1);
     out[id] = walker.Visit(kSubgraphSigSalt, id);
+    walker.Reset();
   }
   return out;
 }
@@ -142,14 +176,14 @@ std::vector<uint64_t> AllSubgraphResultSignatures(
 std::vector<NodeId> SubtreeNodes(const Workflow& workflow, NodeId root) {
   ETLOPT_CHECK(workflow.fresh());
   ETLOPT_CHECK(workflow.Exists(root));
-  auto providers = BuildProviderIndex(workflow);
-  SubgraphSignatureInputs no_inputs;
-  SignatureWalker walker{workflow, providers, no_inputs};
-  walker.index.assign(providers.size(), -1);
-  std::vector<NodeId> order;
-  walker.order = &order;
+  return SubtreeNodes(BuildProviderIndex(workflow), root);
+}
+
+std::vector<NodeId> SubtreeNodes(const ProviderIndex& providers,
+                                 NodeId root) {
+  ConeWalker walker(providers, nullptr);
   (void)walker.Visit(kSubgraphSigSalt, root);
-  return order;
+  return std::move(walker.order);
 }
 
 }  // namespace etlopt

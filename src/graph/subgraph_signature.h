@@ -24,8 +24,15 @@
 // Data fingerprints are supplied by callbacks because this layer cannot
 // see ExecutionInput (the engine depends on graph, not vice versa). The
 // engine binds them to FNV-64 folds of the actual rows / lookup entries;
-// the optimizer's cache-aware costing binds the same functions so its
-// hint keys match the executor's cache keys.
+// the optimizer's cache-aware costing (CacheCostHint) must bind matching
+// functions, or its hint keys never meet the executor's cache keys.
+//
+// Cost: one signature call spells out each node's content (the
+// semantics strings, schemas and fingerprints above) once, and invokes
+// each fingerprint callback at most once per distinct source or lookup
+// name. The per-root walks then only fold those precomputed bytes, so
+// signing every cone of a workflow costs one fold per cone member and
+// one fingerprint per bound input, not one per visit.
 
 #ifndef ETLOPT_GRAPH_SUBGRAPH_SIGNATURE_H_
 #define ETLOPT_GRAPH_SUBGRAPH_SIGNATURE_H_
@@ -39,7 +46,8 @@
 
 namespace etlopt {
 
-/// Content fingerprints of the run's bound inputs, by name. A null
+/// Content fingerprints of the run's bound inputs, by name. Each signature
+/// call invokes a callback at most once per distinct name. A null
 /// callback folds the name itself instead — a weaker, input-agnostic
 /// identity usable when no concrete run input exists (tests, tooling);
 /// cache keys for real executions must always bind real fingerprints.
@@ -54,8 +62,9 @@ uint64_t SubgraphResultSignature(const Workflow& workflow, NodeId root,
                                  const SubgraphSignatureInputs& inputs);
 
 /// Signatures for every present node, NodeId-indexed (0 for absent slots).
-/// One provider-index build serves all roots; prefer this over per-root
-/// calls when more than a couple of nodes are signed.
+/// One provider index, one content pass and one fingerprint per distinct
+/// input name serve all roots; prefer this over per-root calls when more
+/// than a couple of nodes are signed.
 std::vector<uint64_t> AllSubgraphResultSignatures(
     const Workflow& workflow, const SubgraphSignatureInputs& inputs);
 
@@ -64,6 +73,15 @@ std::vector<uint64_t> AllSubgraphResultSignatures(
 /// nodes with equal signatures enumerate positionally matching cones —
 /// the result cache's cross-workflow bookkeeping transfer relies on this.
 std::vector<NodeId> SubtreeNodes(const Workflow& workflow, NodeId root);
+
+/// Port-ordered providers of every node, NodeId-indexed (empty for absent
+/// slots). Workflow::Providers() scans every edge per call; callers that
+/// enumerate several cones of one workflow build this once instead.
+using ProviderIndex = std::vector<std::vector<NodeId>>;
+ProviderIndex BuildProviderIndex(const Workflow& workflow);
+
+/// SubtreeNodes over a prebuilt index of the same (fresh) workflow.
+std::vector<NodeId> SubtreeNodes(const ProviderIndex& providers, NodeId root);
 
 }  // namespace etlopt
 

@@ -146,6 +146,18 @@ class PredicateParser {
 
   StatusOr<ExprPtr> ParseExpr() {
     ETLOPT_RETURN_NOT_OK(Expect(Token::Kind::kLParen, "'('"));
+    // Every recursion passes through here, so this bounds the stack.
+    if (++depth_ > kMaxPredicateDepth) {
+      return Status::InvalidArgument(StrFormat(
+          "predicate nests deeper than %zu groups", kMaxPredicateDepth));
+    }
+    StatusOr<ExprPtr> e = ParseGroup();
+    --depth_;
+    return e;
+  }
+
+  // The body of one parenthesized group, after its '('.
+  StatusOr<ExprPtr> ParseGroup() {
     if (ConsumeWord("NOT")) {
       ETLOPT_ASSIGN_OR_RETURN(ExprPtr inner, ParseOperand());
       ETLOPT_RETURN_NOT_OK(Expect(Token::Kind::kRParen, "')'"));
@@ -190,6 +202,7 @@ class PredicateParser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 // ---- Schema / misc field helpers ----

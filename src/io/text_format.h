@@ -53,6 +53,10 @@ struct TextFormatOptions {
 StatusOr<std::string> PrintWorkflowText(const Workflow& workflow,
                                         const TextFormatOptions& options = {});
 
+/// Parenthesized groups may nest at most this deep in a predicate; deeper
+/// input is rejected with InvalidArgument instead of exhausting the stack.
+inline constexpr size_t kMaxPredicateDepth = 256;
+
 /// Parses a canonical predicate string ("(V1 >= 300)", "((A > 1) AND
 /// (B IS NOT NULL))", ...). Exposed for tests and tools.
 StatusOr<ExprPtr> ParsePredicate(const std::string& text);

@@ -116,6 +116,31 @@ TEST(TextFormatTest, PrintParseRoundTripGenerated) {
   }
 }
 
+TEST(TextFormatTest, RejectsDeeplyNestedSelectionPredicate) {
+  // 100k nested groups would overflow the recursive-descent parser's
+  // stack; the depth limit turns them into an error.
+  const size_t depth = 100000;
+  std::string pred =
+      std::string(depth, '(') + "V >= 1" + std::string(depth, ')');
+  std::string text =
+      "source A card=10 schema=V:double\n"
+      "selection s in=A pred=" + pred + " sel=0.5\n"
+      "target T in=s schema=V:double\n";
+  Status status = ParseWorkflowText(text).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(ParsePredicate(pred).status().IsInvalidArgument());
+
+  // The limit itself still parses.
+  std::string deepest = "(V >= 1)";
+  for (size_t i = 1; i < kMaxPredicateDepth; ++i) {
+    deepest = "(NOT " + deepest + ")";
+  }
+  EXPECT_TRUE(ParsePredicate(deepest).ok());
+  EXPECT_TRUE(ParsePredicate("(NOT " + deepest + ")")
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST(TextFormatTest, RejectsUnknownDirective) {
   EXPECT_FALSE(ParseWorkflowText("bogus x in=y").ok());
 }
