@@ -30,6 +30,52 @@ StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
   return out;
 }
 
+StatusOr<const std::vector<Record>*> BoundSourceRows(
+    const RecordSetDef& def,
+    const std::map<std::string, std::vector<Record>>& source_data) {
+  auto it = source_data.find(def.name);
+  if (it == source_data.end()) {
+    return Status::NotFound("no data bound for source recordset '" +
+                            def.name + "'");
+  }
+  for (const auto& r : it->second) {
+    if (r.size() != def.schema.size()) {
+      return Status::InvalidArgument(
+          StrFormat("source '%s': record arity %zu != schema arity %zu",
+                    def.name.c_str(), r.size(), def.schema.size()));
+    }
+  }
+  return &it->second;
+}
+
+StatusOr<std::vector<Record>> ComputeNodeRows(
+    const Workflow& workflow, NodeId id, const ExecutionInput& input,
+    const std::map<NodeId, std::vector<Record>>& flows) {
+  std::vector<NodeId> providers = workflow.Providers(id);
+  if (workflow.IsRecordSet(id)) {
+    const RecordSetDef& def = workflow.recordset(id);
+    if (providers.empty()) {
+      ETLOPT_ASSIGN_OR_RETURN(const std::vector<Record>* rows,
+                              BoundSourceRows(def, input.source_data));
+      return *rows;
+    }
+    // Staging or target recordset: realign to the declared schema.
+    return RealignRecords(flows.at(providers[0]),
+                          workflow.OutputSchema(providers[0]), def.schema);
+  }
+  ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
+  std::vector<std::vector<Record>> inputs;
+  inputs.reserve(providers.size());
+  for (NodeId p : providers) inputs.push_back(flows.at(p));
+  auto rows = workflow.chain(id).Execute(workflow.InputSchemas(id), inputs,
+                                         input.context);
+  if (!rows.ok()) {
+    return rows.status().WithContext(StrFormat(
+        "executing node %d ('%s')", id, workflow.chain(id).label().c_str()));
+  }
+  return rows;
+}
+
 StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
                                           const ExecutionInput& input) {
   return ExecuteWorkflow(workflow, input, CacheOptions{});
@@ -51,47 +97,14 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
       flows[id] = served->rows;
       continue;
     }
-    std::vector<NodeId> providers = workflow.Providers(id);
+    ETLOPT_ASSIGN_OR_RETURN(flows[id],
+                            ComputeNodeRows(workflow, id, input, flows));
     if (workflow.IsRecordSet(id)) {
-      const RecordSetDef& def = workflow.recordset(id);
-      if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
-        flows[id] = it->second;
-      } else {
-        // Staging or target recordset: realign to the declared schema.
-        ETLOPT_ASSIGN_OR_RETURN(
-            flows[id],
-            RealignRecords(flows.at(providers[0]),
-                           workflow.OutputSchema(providers[0]), def.schema));
-      }
       if (workflow.Consumers(id).empty()) {
-        result.target_data.emplace(def.name, flows[id]);
+        result.target_data.emplace(workflow.recordset(id).name, flows[id]);
       }
     } else {
-      ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-      std::vector<std::vector<Record>> inputs;
-      inputs.reserve(providers.size());
-      for (NodeId p : providers) inputs.push_back(flows.at(p));
-      auto rows = workflow.chain(id).Execute(workflow.InputSchemas(id),
-                                             inputs, input.context);
-      if (!rows.ok()) {
-        return rows.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      workflow.chain(id).label().c_str()));
-      }
-      result.rows_out[id] = rows->size();
-      flows[id] = std::move(rows).value();
+      result.rows_out[id] = flows[id].size();
       if (plan.Leased(id)) {
         plan.OnActivityComputed(id, flows[id], result.rows_out);
       }

@@ -130,11 +130,28 @@ StatusOr<bool> ProduceSameOutput(const Workflow& a, const Workflow& b,
                                  const ExecutionInput& input);
 
 /// Reorders `rows` (laid out by `from`) into `to`'s attribute order —
-/// the staging/target realignment step, shared with the recoverable
-/// executor.
+/// the staging/target realignment step, shared with the stream executor.
 StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
                                              const Schema& from,
                                              const Schema& to);
+
+/// The rows bound to source recordset `def` in `source_data`, borrowed,
+/// not copied. NotFound when nothing is bound under `def.name`,
+/// InvalidArgument when a record's arity differs from the schema's.
+/// Every engine binds its sources through this, so all fail alike.
+StatusOr<const std::vector<Record>*> BoundSourceRows(
+    const RecordSetDef& def,
+    const std::map<std::string, std::vector<Record>>& source_data);
+
+/// The serial node step: the rows node `id` produces, given its
+/// providers' rows in `flows`. A source is bound, a staging or target
+/// recordset is realigned to its declared schema, and an activity node
+/// runs its chain (one kActivityExecute fault hit per call, before any
+/// input is read; errors carry the node context). ExecuteWorkflow and
+/// the recoverable executor both run every node through this.
+StatusOr<std::vector<Record>> ComputeNodeRows(
+    const Workflow& workflow, NodeId id, const ExecutionInput& input,
+    const std::map<NodeId, std::vector<Record>>& flows);
 
 }  // namespace etlopt
 

@@ -22,12 +22,6 @@ struct Engine {
   size_t morsel_size = kDefaultMorselSize;
   size_t num_partitions = 1;
   const ExecutionContext* ctx = nullptr;
-  ParallelStats* stats = nullptr;
-
-  // Per-worker row counter; indexed by worker, so tasks never contend.
-  void CountRows(size_t worker, size_t n) const {
-    stats->worker_rows[worker] += n;
-  }
 };
 
 StatusOr<std::vector<size_t>> AttrIndices(
@@ -68,10 +62,8 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
   }
   std::vector<Record> out(rows.size());
   std::vector<Morsel> morsels = MakeMorsels(rows.size(), eng.morsel_size);
-  eng.stats->streaming_morsels += morsels.size();
-  eng.stats->streamed_rows += rows.size();
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      morsels.size(), [&](size_t m, size_t worker) -> Status {
+      morsels.size(), [&](size_t m, size_t) -> Status {
         for (size_t i = morsels[m].begin; i < morsels[m].end; ++i) {
           if (identity) {
             out[i] = rows[i];
@@ -81,15 +73,14 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
             out[i] = std::move(nr);
           }
         }
-        eng.CountRows(worker, morsels[m].size());
         return Status::OK();
       }));
   return out;
 }
 
 // Streaming unary activity: data-parallel over morsels, per-morsel
-// batches delegated to Activity::Execute (the same idiom the pipelined
-// engine uses, so the engines cannot diverge on per-row behaviour).
+// batches delegated to Activity::Execute, so the engines cannot diverge
+// on per-row behaviour.
 // Filters and 1:1 transforms preserve input order within a morsel, and
 // morsel outputs concatenate in morsel order, so the result is exactly
 // the serial output.
@@ -98,17 +89,14 @@ StatusOr<std::vector<Record>> RunStreaming(const Engine& eng,
                                            const Schema& in_schema,
                                            const std::vector<Record>& rows) {
   std::vector<Morsel> morsels = MakeMorsels(rows.size(), eng.morsel_size);
-  eng.stats->streaming_morsels += morsels.size();
-  eng.stats->streamed_rows += rows.size();
   std::vector<std::vector<Record>> outs(morsels.size());
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      morsels.size(), [&](size_t m, size_t worker) -> Status {
+      morsels.size(), [&](size_t m, size_t) -> Status {
         std::vector<std::vector<Record>> input(1);
         input[0].assign(rows.begin() + morsels[m].begin,
                         rows.begin() + morsels[m].end);
         ETLOPT_ASSIGN_OR_RETURN(
             outs[m], activity.Execute({in_schema}, input, *eng.ctx));
-        eng.CountRows(worker, morsels[m].size());
         return Status::OK();
       }));
   size_t total = 0;
@@ -135,13 +123,10 @@ StatusOr<std::vector<Record>> RunUnion(const Engine& eng,
   std::vector<Record> out(left.size() + right.size());
   std::vector<Morsel> lm = MakeMorsels(left.size(), eng.morsel_size);
   std::vector<Morsel> rm = MakeMorsels(right.size(), eng.morsel_size);
-  eng.stats->streaming_morsels += lm.size() + rm.size();
-  eng.stats->streamed_rows += out.size();
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      lm.size() + rm.size(), [&](size_t t, size_t worker) -> Status {
+      lm.size() + rm.size(), [&](size_t t, size_t) -> Status {
         if (t < lm.size()) {
           for (size_t i = lm[t].begin; i < lm[t].end; ++i) out[i] = left[i];
-          eng.CountRows(worker, lm[t].size());
         } else {
           const Morsel& m = rm[t - lm.size()];
           for (size_t i = m.begin; i < m.end; ++i) {
@@ -149,7 +134,6 @@ StatusOr<std::vector<Record>> RunUnion(const Engine& eng,
             for (size_t src : right_map) nr.Append(right[i].value(src));
             out[left.size() + i] = std::move(nr);
           }
-          eng.CountRows(worker, m.size());
         }
         return Status::OK();
       }));
@@ -170,18 +154,15 @@ StatusOr<std::vector<Record>> RunPkCheck(const Engine& eng,
       PartitionIndices parts,
       HashPartitionIndices(rows, in_schema, p.key_attrs, eng.num_partitions,
                            eng.morsel_size, eng.pool));
-  eng.stats->exchange_partitions += parts.size();
-  eng.stats->exchanged_rows += rows.size();
   std::vector<uint8_t> keep(rows.size(), 0);
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      parts.size(), [&](size_t pt, size_t worker) -> Status {
+      parts.size(), [&](size_t pt, size_t) -> Status {
         std::map<std::vector<Value>, bool> seen;
         for (uint32_t i : parts[pt]) {
           if (seen.emplace(ExtractKey(rows[i], key_idx), true).second) {
             keep[i] = 1;
           }
         }
-        eng.CountRows(worker, parts[pt].size());
         return Status::OK();
       }));
   std::vector<Record> out;
@@ -202,8 +183,6 @@ StatusOr<std::vector<Record>> RunAggregation(const Engine& eng,
   const auto& p = activity.params_as<AggregationParams>();
   if (p.group_by.empty()) {
     // One global group: nothing to exchange on.
-    eng.stats->exchange_partitions += 1;
-    eng.stats->exchanged_rows += rows.size();
     std::vector<std::vector<Record>> input(1);
     input[0] = rows;
     return activity.Execute({in_schema}, input, *eng.ctx);
@@ -212,18 +191,15 @@ StatusOr<std::vector<Record>> RunAggregation(const Engine& eng,
       PartitionIndices parts,
       HashPartitionIndices(rows, in_schema, p.group_by, eng.num_partitions,
                            eng.morsel_size, eng.pool));
-  eng.stats->exchange_partitions += parts.size();
-  eng.stats->exchanged_rows += rows.size();
   std::vector<std::vector<Record>> outs(parts.size());
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      parts.size(), [&](size_t pt, size_t worker) -> Status {
+      parts.size(), [&](size_t pt, size_t) -> Status {
         if (parts[pt].empty()) return Status::OK();
         std::vector<std::vector<Record>> input(1);
         input[0].reserve(parts[pt].size());
         for (uint32_t i : parts[pt]) input[0].push_back(rows[i]);
         ETLOPT_ASSIGN_OR_RETURN(
             outs[pt], activity.Execute({in_schema}, input, *eng.ctx));
-        eng.CountRows(worker, parts[pt].size());
         return Status::OK();
       }));
 
@@ -286,13 +262,11 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
       PartitionIndices parts,
       HashPartitionIndices(right, in_schemas[1], p.key_attrs,
                            eng.num_partitions, eng.morsel_size, eng.pool));
-  eng.stats->exchange_partitions += parts.size();
-  eng.stats->exchanged_rows += left.size() + right.size();
 
   using ShardIndex = std::map<std::vector<Value>, std::vector<uint32_t>>;
   std::vector<ShardIndex> shards(parts.size());
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      parts.size(), [&](size_t pt, size_t worker) -> Status {
+      parts.size(), [&](size_t pt, size_t) -> Status {
         for (uint32_t i : parts[pt]) {
           std::vector<Value> key = ExtractKey(right[i], right_key);
           // NULL keys never join (SQL semantics).
@@ -302,15 +276,13 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
           }
           shards[pt][std::move(key)].push_back(i);
         }
-        eng.CountRows(worker, parts[pt].size());
         return Status::OK();
       }));
 
   std::vector<Morsel> morsels = MakeMorsels(left.size(), eng.morsel_size);
-  eng.stats->streaming_morsels += morsels.size();
   std::vector<std::vector<Record>> outs(morsels.size());
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      morsels.size(), [&](size_t m, size_t worker) -> Status {
+      morsels.size(), [&](size_t m, size_t) -> Status {
         std::vector<Record>& out = outs[m];
         for (size_t i = morsels[m].begin; i < morsels[m].end; ++i) {
           std::vector<Value> key = ExtractKey(left[i], left_key);
@@ -328,7 +300,6 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
             out.push_back(std::move(nr));
           }
         }
-        eng.CountRows(worker, morsels[m].size());
         return Status::OK();
       }));
   size_t total = 0;
@@ -362,13 +333,11 @@ StatusOr<std::vector<Record>> RunDiffIntersect(
       PartitionIndices right_parts,
       HashPartitionIndices(right_aligned, out_schema, whole_record,
                            eng.num_partitions, eng.morsel_size, eng.pool));
-  eng.stats->exchange_partitions += left_parts.size();
-  eng.stats->exchanged_rows += left.size() + right_aligned.size();
 
   const bool keep_matched = activity.kind() == ActivityKind::kIntersection;
   std::vector<uint8_t> keep(left.size(), 0);
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      left_parts.size(), [&](size_t pt, size_t worker) -> Status {
+      left_parts.size(), [&](size_t pt, size_t) -> Status {
         std::map<Record, int64_t> right_counts;
         for (uint32_t i : right_parts[pt]) ++right_counts[right_aligned[i]];
         for (uint32_t i : left_parts[pt]) {
@@ -377,8 +346,6 @@ StatusOr<std::vector<Record>> RunDiffIntersect(
           if (matched) --it->second;
           if (matched == keep_matched) keep[i] = 1;
         }
-        eng.CountRows(worker,
-                      left_parts[pt].size() + right_parts[pt].size());
         return Status::OK();
       }));
   std::vector<Record> out;
@@ -417,8 +384,7 @@ StatusOr<std::vector<Record>> RunMember(const Engine& eng,
 
 StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
                                           const ExecutionInput& input,
-                                          const ParallelOptions& options,
-                                          ParallelStats* stats) {
+                                          const ParallelOptions& options) {
   if (!workflow.fresh()) {
     return Status::FailedPrecondition(
         "workflow must pass Refresh() before execution");
@@ -427,11 +393,6 @@ StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
                              ? options.num_threads
                              : ThreadPool::DefaultThreads();
   ThreadPool pool(threads);
-  ParallelStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = ParallelStats{};
-  stats->num_threads = pool.num_threads();
-  stats->worker_rows.assign(pool.num_threads(), 0);
 
   Engine eng;
   eng.pool = &pool;
@@ -442,7 +403,6 @@ StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
           ? options.num_partitions
           : std::min<size_t>(64, pool.num_threads() * 4);
   eng.ctx = &input.context;
-  eng.stats = stats;
 
   ExecutionResult result;
   CachePlan plan(workflow, input, options.cache);
@@ -474,20 +434,10 @@ StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
       const RecordSetDef& def = workflow.recordset(id);
       std::vector<Record> rows;
       if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
+        ETLOPT_ASSIGN_OR_RETURN(const std::vector<Record>* source,
+                                BoundSourceRows(def, input.source_data));
         ETLOPT_ASSIGN_OR_RETURN(
-            rows, ParallelRealign(eng, it->second, def.schema, def.schema));
+            rows, ParallelRealign(eng, *source, def.schema, def.schema));
       } else {
         std::vector<Record> upstream = take_input(providers[0]);
         const Schema& from = workflow.OutputSchema(providers[0]);

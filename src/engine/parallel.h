@@ -1,8 +1,8 @@
 // Parallel executor: a morsel-driven, partition-parallel engine.
 //
-// The third independent implementation of the activity semantics (after
-// the materializing and pipelined engines). Nodes still execute in
-// topological order, but inside a node the data is parallel:
+// An implementation of the activity semantics independent of the
+// materializing engine. Nodes still execute in topological order, but
+// inside a node the data is parallel:
 //
 //  * streaming activities (filter, project, function, surrogate key,
 //    union) run data-parallel over fixed-size morsels of the input, and
@@ -45,33 +45,13 @@ struct ParallelOptions {
   CacheOptions cache;
 };
 
-/// Observability counters for a parallel run. All totals are
-/// deterministic for fixed options; the per-worker split depends on
-/// scheduling and is reported for load-balance inspection only.
-struct ParallelStats {
-  /// Worker threads the run actually used.
-  size_t num_threads = 0;
-  /// Morsel tasks dispatched for streaming activities.
-  size_t streaming_morsels = 0;
-  /// Partition tasks dispatched for blocking exchanges.
-  size_t exchange_partitions = 0;
-  /// Rows that crossed streaming activities.
-  size_t streamed_rows = 0;
-  /// Rows routed through hash exchanges.
-  size_t exchanged_rows = 0;
-  /// Rows processed per worker (size num_threads); the merge of the
-  /// per-worker counters the engine keeps during the run.
-  std::vector<size_t> worker_rows;
-};
-
 /// Runs `workflow` (must be fresh) over `input` with the parallel engine.
 /// The result matches ExecuteWorkflow byte-for-byte (target_data rows and
 /// order, and rows_out), deterministically across thread counts and
 /// repeated runs.
 StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
                                           const ExecutionInput& input,
-                                          const ParallelOptions& options = {},
-                                          ParallelStats* stats = nullptr);
+                                          const ParallelOptions& options = {});
 
 }  // namespace etlopt
 

@@ -254,13 +254,21 @@ std::string RecoverableExecutor::RunDir(uint64_t workflow_hash,
 StatusOr<ExecutionResult> RecoverableExecutor::Execute(
     const Workflow& workflow, const ExecutionInput& input,
     RecoveryStats* stats_out) {
+  RecoveryStats stats;
+  StatusOr<ExecutionResult> result = Run(workflow, input, stats);
+  // Published on every return, so a failed run still reports its work.
+  if (stats_out != nullptr) *stats_out = std::move(stats);
+  return result;
+}
+
+StatusOr<ExecutionResult> RecoverableExecutor::Run(
+    const Workflow& workflow, const ExecutionInput& input,
+    RecoveryStats& stats) {
   ETLOPT_RETURN_NOT_OK(ValidateRecoveryOptions(options_));
   if (!workflow.fresh()) {
     return Status::FailedPrecondition(
         "workflow must pass Refresh() before execution");
   }
-  RecoveryStats stats;
-  if (stats_out != nullptr) *stats_out = stats;
   const Clock::time_point start = Clock::now();
   auto over_deadline = [&]() {
     if (options_.deadline_millis == 0) return false;
@@ -361,8 +369,8 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
     }
   }
 
-  // Phase 3: execute. Mirrors ExecuteWorkflow node for node; recovery
-  // points substitute for whole subgraphs.
+  // Phase 3: execute. Every computed node runs ExecuteWorkflow's node
+  // step; recovery points substitute for whole subgraphs.
   ExecutionResult result;
   std::map<NodeId, std::vector<Record>> flows;
   for (NodeId id : topo) {
@@ -392,56 +400,17 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
       if (!is_recordset) ++stats.nodes_skipped;
       continue;
     } else {
-      std::vector<NodeId> providers = workflow.Providers(id);
       std::vector<Record> rows;
       auto attempt = [&]() -> Status {
-        rows.clear();
-        if (is_recordset) {
-          const RecordSetDef& def = workflow.recordset(id);
-          if (providers.empty()) {
-            auto it = input.source_data.find(def.name);
-            if (it == input.source_data.end()) {
-              return Status::NotFound(
-                  "no data bound for source recordset '" + def.name + "'");
-            }
-            for (const auto& r : it->second) {
-              if (r.size() != def.schema.size()) {
-                return Status::InvalidArgument(StrFormat(
-                    "source '%s': record arity %zu != schema arity %zu",
-                    def.name.c_str(), r.size(), def.schema.size()));
-              }
-            }
-            rows = it->second;
-            return Status::OK();
-          }
-          ETLOPT_ASSIGN_OR_RETURN(
-              rows,
-              RealignRecords(flows.at(providers[0]),
-                             workflow.OutputSchema(providers[0]), def.schema));
-          return Status::OK();
-        }
-        ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-        std::vector<std::vector<Record>> inputs;
-        inputs.reserve(providers.size());
-        for (NodeId p : providers) inputs.push_back(flows.at(p));
-        auto produced = workflow.chain(id).Execute(workflow.InputSchemas(id),
-                                                   inputs, input.context);
-        if (!produced.ok()) {
-          return produced.status().WithContext(
-              StrFormat("executing node %d ('%s')", id,
-                        workflow.chain(id).label().c_str()));
-        }
-        rows = std::move(produced).value();
+        ETLOPT_ASSIGN_OR_RETURN(rows,
+                                ComputeNodeRows(workflow, id, input, flows));
         return Status::OK();
       };
       Status status =
           RetryWithBackoff(options_.retry, rng,
                            StrFormat("node %d", id).c_str(), attempt,
                            &stats.retries);
-      if (!status.ok()) {
-        if (stats_out != nullptr) *stats_out = stats;
-        return status;
-      }
+      if (!status.ok()) return status;
       if (!is_recordset) {
         result.rows_out[id] = rows.size();
         ++stats.nodes_executed;
@@ -473,10 +442,7 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
         Status write_status =
             RetryWithBackoff(options_.retry, rng, "checkpoint write",
                              write_attempt, &stats.retries);
-        if (IsInjectedCrash(write_status)) {
-          if (stats_out != nullptr) *stats_out = stats;
-          return write_status;
-        }
+        if (IsInjectedCrash(write_status)) return write_status;
         if (write_status.ok()) {
           ++stats.checkpoints_written;
           stats.checkpoint_rows_written += flows[id].size();
@@ -503,7 +469,6 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
     stats.stale_runs_pruned = PruneStaleRunDirs(
         options_.checkpoint_dir, run_dir, options_.max_retained_runs);
   }
-  if (stats_out != nullptr) *stats_out = stats;
   return result;
 }
 

@@ -149,6 +149,10 @@ class RecoverableExecutor {
   const RecoveryOptions& options() const { return options_; }
 
  private:
+  /// Execute() minus publishing `stats`, which it fills as it goes.
+  StatusOr<ExecutionResult> Run(const Workflow& workflow,
+                                const ExecutionInput& input,
+                                RecoveryStats& stats);
   std::string RunDir(uint64_t workflow_hash, uint64_t input_hash) const;
 
   RecoveryOptions options_;

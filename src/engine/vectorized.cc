@@ -432,20 +432,9 @@ StatusOr<ExecutionResult> ExecuteVectorized(const Workflow& workflow,
       const RecordSetDef& def = workflow.recordset(id);
       BatchVec batches;
       if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
-        ETLOPT_ASSIGN_OR_RETURN(batches,
-                                MakeBatches(eng, def.schema, it->second));
+        ETLOPT_ASSIGN_OR_RETURN(const std::vector<Record>* source,
+                                BoundSourceRows(def, input.source_data));
+        ETLOPT_ASSIGN_OR_RETURN(batches, MakeBatches(eng, def.schema, *source));
       } else {
         ETLOPT_ASSIGN_OR_RETURN(
             batches,

@@ -1,11 +1,11 @@
 // Vectorized executor: columnar batch execution with the row engines as
 // the correctness oracle.
 //
-// The fourth independent implementation of the activity semantics (after
-// the materializing, pipelined and morsel-parallel engines). Data flows
-// between nodes as ordered lists of RecordBatches (src/columnar/): rows
-// are batched once at every source, kernels process whole batches, and
-// targets flatten back to rows only at the very end. Hot activity kinds
+// A third implementation of the activity semantics, independent of the
+// materializing and morsel-parallel engines. Data flows between nodes as
+// ordered lists of RecordBatches (src/columnar/): rows are batched once
+// at every source, kernels process whole batches, and targets flatten
+// back to rows only at the very end. Hot activity kinds
 // — Selection (for predicates vector_eval can compile), NotNull,
 // DomainCheck, Projection, PrimaryKeyCheck, Aggregation, Union and Join
 // — run through the vectorized kernels; everything else (Function,

@@ -45,7 +45,7 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
   source.event_mode_ = !options.event_time_column.empty();
 
   // Bind and validate every source recordset's capture, exactly as
-  // ExecuteWorkflow would.
+  // every engine does.
   struct Bound {
     std::string name;
     const std::vector<Record>* rows;
@@ -55,21 +55,9 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
   size_t max_rows = 0;
   for (NodeId id : workflow.SourceRecordSets()) {
     const RecordSetDef& def = workflow.recordset(id);
-    auto it = capture.source_data.find(def.name);
-    if (it == capture.source_data.end()) {
-      return Status::NotFound("no data bound for source recordset '" +
-                              def.name + "'");
-    }
-    for (const auto& r : it->second) {
-      if (r.size() != def.schema.size()) {
-        return Status::InvalidArgument(
-            StrFormat("source '%s': record arity %zu != schema arity %zu",
-                      def.name.c_str(), r.size(), def.schema.size()));
-      }
-    }
     Bound b;
     b.name = def.name;
-    b.rows = &it->second;
+    ETLOPT_ASSIGN_OR_RETURN(b.rows, BoundSourceRows(def, capture.source_data));
     if (source.event_mode_) {
       auto idx = def.schema.IndexOf(options.event_time_column);
       if (!idx.has_value()) {
@@ -83,14 +71,14 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
             def.name.c_str(), options.event_time_column.c_str()));
       }
       b.ts_index = *idx;
-      for (const auto& r : it->second) {
+      for (const auto& r : *b.rows) {
         if (r.value(b.ts_index).is_null()) {
           return Status::InvalidArgument(StrFormat(
               "source '%s': null event timestamp", def.name.c_str()));
         }
       }
     }
-    max_rows = std::max(max_rows, it->second.size());
+    max_rows = std::max(max_rows, b.rows->size());
     bound.push_back(std::move(b));
   }
 

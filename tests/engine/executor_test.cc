@@ -2,11 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "activity/templates.h"
+#include "engine/recovery.h"
 #include "workload/scenarios.h"
 
 namespace etlopt {
 namespace {
+
+// Every engine binds its sources through one step, so a bad binding must
+// fail each of them with the serial engine's status: same code, same
+// message.
+void ExpectEveryEngineFailsAlike(const Workflow& w,
+                                 const ExecutionInput& input,
+                                 StatusCode expected) {
+  const Status serial = ExecuteWorkflow(w, input).status();
+  ASSERT_EQ(serial.code(), expected) << serial.ToString();
+  auto expect_same = [&serial](const Status& status, const std::string& who) {
+    EXPECT_EQ(status.code(), serial.code()) << who << ": " << status.ToString();
+    EXPECT_EQ(status.message(), serial.message()) << who;
+  };
+  for (EngineKind engine : {EngineKind::kSerial, EngineKind::kParallel,
+                            EngineKind::kVectorized}) {
+    ExecutionOptions options;
+    options.engine = engine;
+    expect_same(ExecuteWith(w, input, options).status(),
+                "engine " + std::to_string(static_cast<int>(engine)));
+  }
+  expect_same(RecoverableExecutor().Execute(w, input).status(),
+              "recoverable");
+}
 
 TEST(ExecutorTest, RequiresFreshWorkflow) {
   auto s = BuildFig1Scenario();
@@ -22,7 +48,7 @@ TEST(ExecutorTest, MissingSourceDataFails) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
   ExecutionInput input;  // empty
-  EXPECT_TRUE(ExecuteWorkflow(s->workflow, input).status().IsNotFound());
+  ExpectEveryEngineFailsAlike(s->workflow, input, StatusCode::kNotFound);
 }
 
 TEST(ExecutorTest, SourceArityMismatchFails) {
@@ -30,8 +56,8 @@ TEST(ExecutorTest, SourceArityMismatchFails) {
   ASSERT_TRUE(s.ok());
   ExecutionInput input = MakeFig1Input(1, 5);
   input.source_data["PARTS1"].push_back(Record({Value::Int(1)}));
-  EXPECT_TRUE(
-      ExecuteWorkflow(s->workflow, input).status().IsInvalidArgument());
+  ExpectEveryEngineFailsAlike(s->workflow, input,
+                              StatusCode::kInvalidArgument);
 }
 
 TEST(ExecutorTest, Fig1EndToEnd) {

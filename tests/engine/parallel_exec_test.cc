@@ -4,7 +4,6 @@
 
 #include "activity/templates.h"
 #include "common/macros.h"
-#include "engine/pipeline.h"
 #include "optimizer/search.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"
@@ -19,8 +18,7 @@ void ExpectIdenticalToBatch(const Workflow& w, const ExecutionInput& input,
                             const ParallelOptions& options) {
   auto batch = ExecuteWorkflow(w, input);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ParallelStats stats;
-  auto par = ExecuteParallel(w, input, options, &stats);
+  auto par = ExecuteParallel(w, input, options);
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   ASSERT_EQ(batch->target_data.size(), par->target_data.size());
   for (const auto& [name, rows] : batch->target_data) {
@@ -172,37 +170,6 @@ TEST(ParallelExecTest, DeterministicAcrossRunsAndTuning) {
       }
     }
   }
-}
-
-TEST(ParallelExecTest, ReportsStats) {
-  auto s = BuildFig1Scenario();
-  ASSERT_TRUE(s.ok());
-  ParallelOptions options;
-  options.num_threads = 4;
-  options.morsel_size = 32;
-  ParallelStats stats;
-  auto r = ExecuteParallel(s->workflow, MakeFig1Input(1, 400), options,
-                           &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(stats.num_threads, 4u);
-  EXPECT_GT(stats.streaming_morsels, 0u);
-  EXPECT_GT(stats.streamed_rows, 0u);
-  // Fig. 1 has an aggregation, so an exchange must have happened.
-  EXPECT_GT(stats.exchange_partitions, 0u);
-  EXPECT_GT(stats.exchanged_rows, 0u);
-  ASSERT_EQ(stats.worker_rows.size(), 4u);
-  size_t total_worker_rows = 0;
-  for (size_t n : stats.worker_rows) total_worker_rows += n;
-  EXPECT_GT(total_worker_rows, 0u);
-}
-
-TEST(ParallelExecTest, FailsOnMissingSourceData) {
-  auto s = BuildFig1Scenario();
-  ASSERT_TRUE(s.ok());
-  ExecutionInput empty;
-  auto r = ExecuteParallel(s->workflow, empty);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ParallelExecTest, FailsOnStaleWorkflow) {

@@ -264,9 +264,12 @@ TEST(RecoveryTest, DeadlineExceededSurfaces) {
   RecoveryOptions options = FastOptions();
   options.deadline_millis = 1;
   RecoverableExecutor exec(options);
-  auto r = exec.Execute(s->workflow, MakeFig1Input(2, 200));
+  RecoveryStats stats;
+  auto r = exec.Execute(s->workflow, MakeFig1Input(2, 200), &stats);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
+  // The run did work before the deadline hit; its stats must say so.
+  EXPECT_GE(stats.nodes_executed, 1u);
 }
 
 TEST(CheckpointFormatTest, RoundTripIsExact) {

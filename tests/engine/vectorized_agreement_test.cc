@@ -232,15 +232,6 @@ TEST(VectorizedAgreementTest, ExecuteWithDispatchesAllEngines) {
   }
 }
 
-TEST(VectorizedAgreementTest, FailsOnMissingSourceData) {
-  auto s = BuildFig1Scenario();
-  ASSERT_TRUE(s.ok());
-  ExecutionInput empty;
-  auto r = ExecuteVectorized(s->workflow, empty);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
 TEST(VectorizedAgreementTest, FailsOnStaleWorkflow) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
