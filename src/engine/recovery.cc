@@ -1,14 +1,11 @@
 #include "engine/recovery.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/byte_codec.h"
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -22,7 +19,7 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-const char kCheckpointMagic[8] = {'E', 'T', 'L', 'C', 'K', 'P', 'T', '1'};
+constexpr std::string_view kCheckpointMagic = "ETLCKPT1";
 
 // Whether `id` is a recovery-point node under `policy`. `plan_nodes` is
 // the resolved kRecoveryPlan node set (ignored for other policies).
@@ -59,46 +56,6 @@ std::unordered_set<NodeId> ResolvePlanNodes(const Workflow& workflow,
   return nodes;
 }
 
-// Bounded retention GC: after a successful run, only the
-// `max_retained` most recently written *stale* sibling run_* directories
-// under `checkpoint_dir` survive (oldest pruned first); `current_run_dir`
-// is never touched here. Best-effort — GC failures never fail the run.
-size_t PruneStaleRunDirs(const std::string& checkpoint_dir,
-                         const std::string& current_run_dir,
-                         size_t max_retained) {
-  std::error_code ec;
-  fs::directory_iterator it(
-      checkpoint_dir, fs::directory_options::skip_permission_denied, ec);
-  if (ec) return 0;
-  std::vector<std::pair<fs::file_time_type, fs::path>> stale;
-  for (fs::directory_iterator end; it != end; it.increment(ec)) {
-    if (ec) return 0;
-    const fs::directory_entry& entry = *it;
-    std::error_code entry_ec;
-    if (!entry.is_directory(entry_ec) || entry_ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "run_")) continue;
-    if (entry.path() == fs::path(current_run_dir)) continue;
-    fs::file_time_type mtime = entry.last_write_time(entry_ec);
-    if (entry_ec) mtime = fs::file_time_type::min();
-    stale.emplace_back(mtime, entry.path());
-  }
-  if (stale.size() <= max_retained) return 0;
-  // Oldest first; path as tie-break so equal mtimes prune predictably.
-  std::sort(stale.begin(), stale.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  size_t pruned = 0;
-  for (size_t i = 0; i + max_retained < stale.size(); ++i) {
-    std::error_code rm_ec;
-    fs::remove_all(stale[i].second, rm_ec);
-    if (!rm_ec) ++pruned;
-  }
-  return pruned;
-}
-
 std::string CheckpointPath(const std::string& run_dir, NodeId id) {
   return run_dir + "/node_" + std::to_string(static_cast<long long>(id)) +
          ".ckpt";
@@ -122,6 +79,25 @@ Status ValidateRecoveryOptions(const RecoveryOptions& options) {
   return Status::OK();
 }
 
+void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out) {
+  PutU32(out, static_cast<uint32_t>(rows_out.size()));
+  for (const auto& [node, count] : rows_out) {
+    PutU32(out, static_cast<uint32_t>(node));
+    PutU64(out, count);
+  }
+}
+
+StatusOr<std::map<NodeId, size_t>> ReadRowsOut(WireReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint32_t size, reader.U32());
+  std::map<NodeId, size_t> rows_out;
+  for (uint32_t i = 0; i < size; ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
+    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
+    rows_out[static_cast<NodeId>(node)] = static_cast<size_t>(count);
+  }
+  return rows_out;
+}
+
 uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
   uint64_t h = kFnv1aBasis;
   std::string buf;
@@ -130,8 +106,7 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
     buf.clear();
   };
   for (const auto& [name, rows] : input.source_data) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
+    PutString(buf, name);
     PutU64(buf, rows.size());
     mix();
     for (const Record& r : rows) {
@@ -140,13 +115,11 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
     }
   }
   for (const auto& [name, table] : input.context.lookups) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
+    PutString(buf, name);
     PutU64(buf, table.size());
     mix();
     for (const auto& [key, value] : table) {
-      PutU32(buf, static_cast<uint32_t>(key.size()));
-      for (const Value& v : key) PutValue(buf, v);
+      PutValues(buf, key);
       PutValue(buf, value);
       mix();
     }
@@ -165,19 +138,9 @@ std::string SerializeCheckpointParts(uint64_t workflow_hash,
   PutU64(payload, workflow_hash);
   PutU64(payload, input_hash);
   PutU32(payload, static_cast<uint32_t>(node));
-  PutU32(payload, static_cast<uint32_t>(rows_out.size()));
-  for (const auto& [out_node, count] : rows_out) {
-    PutU32(payload, static_cast<uint32_t>(out_node));
-    PutU64(payload, count);
-  }
-  PutU64(payload, rows.size());
-  for (const Record& r : rows) PutRecord(payload, r);
-
-  std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU64(out, payload.size());
-  out += payload;
-  PutU64(out, Fnv1a64(payload));
-  return out;
+  PutRowsOut(payload, rows_out);
+  PutRecords(payload, rows);
+  return SealChecksummed(kCheckpointMagic, payload);
 }
 
 std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
@@ -187,53 +150,17 @@ std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
 }
 
 StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes) {
-  if (bytes.size() < sizeof(kCheckpointMagic) + 16 ||
-      std::memcmp(bytes.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0) {
-    return Status::InvalidArgument("checkpoint: bad magic or truncated file");
-  }
-  BinaryReader header(bytes.substr(sizeof(kCheckpointMagic)));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, header.U64());
-  if (payload_size != header.remaining() - 8 || header.remaining() < 8) {
-    return Status::InvalidArgument("checkpoint: length mismatch (truncated)");
-  }
-  std::string_view payload =
-      bytes.substr(sizeof(kCheckpointMagic) + 8, payload_size);
-  BinaryReader checksum_reader(
-      bytes.substr(sizeof(kCheckpointMagic) + 8 + payload_size));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, checksum_reader.U64());
-  if (Fnv1a64(payload) != recorded_checksum) {
-    return Status::InvalidArgument("checkpoint: checksum mismatch");
-  }
-
-  BinaryReader reader(payload);
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      OpenChecksummed(kCheckpointMagic, bytes, "checkpoint"));
+  WireReader reader(payload);
   Checkpoint checkpoint;
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.workflow_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.input_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
   checkpoint.node = static_cast<NodeId>(node);
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t rows_out_size, reader.U32());
-  for (uint32_t i = 0; i < rows_out_size; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t out_node, reader.U32());
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-    checkpoint.rows_out[static_cast<NodeId>(out_node)] =
-        static_cast<size_t>(count);
-  }
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t row_count, reader.U64());
-  // Bound the reserve by what the payload could possibly hold (each row
-  // costs at least 4 bytes), so a corrupt count cannot force a huge
-  // allocation before the per-row bounds checks fire.
-  checkpoint.rows.reserve(static_cast<size_t>(
-      std::min<uint64_t>(row_count, reader.remaining() / 4)));
-  for (uint64_t i = 0; i < row_count; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t arity, reader.U32());
-    Record record;
-    for (uint32_t c = 0; c < arity; ++c) {
-      ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-      record.Append(std::move(v));
-    }
-    checkpoint.rows.push_back(std::move(record));
-  }
+  ETLOPT_ASSIGN_OR_RETURN(checkpoint.rows_out, ReadRowsOut(reader));
+  ETLOPT_ASSIGN_OR_RETURN(checkpoint.rows, ReadRecords(reader));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("checkpoint: trailing content");
   }
@@ -352,16 +279,17 @@ StatusOr<ExecutionResult> RecoverableExecutor::Run(
         reject();
         break;
       }
-      std::ifstream in(CheckpointPath(run_dir, id), std::ios::binary);
-      std::ostringstream buffer;
-      if (in) buffer << in.rdbuf();
-      if (!in || in.bad()) {
+      StatusOr<std::string> bytes =
+          ReadFileToString(CheckpointPath(run_dir, id));
+      if (!bytes.ok()) {
         reject();
         break;
       }
-      StatusOr<Checkpoint> checkpoint = ParseCheckpoint(buffer.str());
+      StatusOr<Checkpoint> checkpoint = ParseCheckpoint(*bytes);
       if (!checkpoint.ok() || checkpoint->workflow_hash != workflow_hash ||
-          checkpoint->input_hash != input_hash || checkpoint->node != id) {
+          checkpoint->input_hash != input_hash || checkpoint->node != id ||
+          !AllRowsHaveArity(checkpoint->rows,
+                            workflow.OutputSchema(id).size())) {
         reject();
         break;
       }
@@ -466,8 +394,13 @@ StatusOr<ExecutionResult> RecoverableExecutor::Run(
       std::error_code ec;
       fs::remove_all(run_dir, ec);  // best-effort cleanup
     }
-    stats.stale_runs_pruned = PruneStaleRunDirs(
-        options_.checkpoint_dir, run_dir, options_.max_retained_runs);
+    stats.stale_runs_pruned = PruneOldestEntries(
+        options_.checkpoint_dir, run_dir, options_.max_retained_runs,
+        [](const fs::directory_entry& entry) {
+          std::error_code ec;
+          return entry.is_directory(ec) && !ec &&
+                 StartsWith(entry.path().filename().string(), "run_");
+        });
   }
   return result;
 }

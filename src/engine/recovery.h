@@ -21,7 +21,8 @@
 // fault-free ExecuteWorkflow run, or a clean non-OK Status — never
 // corrupt or partial output. Checkpoints are keyed by (workflow
 // signature hash, input fingerprint) and verified by checksum on read;
-// anything stale, truncated or bit-flipped is rejected and recomputed.
+// anything stale, truncated or bit-flipped, and any row that does not
+// fit its node's output schema, is rejected and recomputed.
 
 #ifndef ETLOPT_ENGINE_RECOVERY_H_
 #define ETLOPT_ENGINE_RECOVERY_H_
@@ -32,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/retry.h"
 #include "cost/reliability_model.h"
 #include "engine/executor.h"
@@ -118,15 +120,21 @@ struct Checkpoint {
   std::map<NodeId, size_t> rows_out;
 };
 
+/// The rows_out bookkeeping both checkpoint formats carry (ETLCKPT1 here,
+/// ETLSTRM1 in stream/stream_checkpoint.h): a u32 count, then
+/// (u32 node, u64 rows) pairs.
+void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out);
+StatusOr<std::map<NodeId, size_t>> ReadRowsOut(WireReader& reader);
+
 /// Fingerprint of an execution input (source data + lookup tables):
 /// equal inputs yield equal fingerprints, so checkpoints from a run over
 /// different data are never resumed from.
 uint64_t ExecutionInputFingerprint(const ExecutionInput& input);
 
-/// Checksummed binary encoding ("ETLCKPT1" magic, length-prefixed rows,
-/// doubles as bit patterns, trailing FNV-64 over the payload). The round
-/// trip is exact; any truncation or bit flip fails ParseCheckpoint with
-/// a clean Status.
+/// Binary encoding: the record codec (records/record_io.h) inside the
+/// checksummed envelope of common/byte_codec.h under the "ETLCKPT1"
+/// magic. The round trip is exact; any truncation or bit flip fails
+/// ParseCheckpoint with a clean Status.
 std::string SerializeCheckpoint(const Checkpoint& checkpoint);
 StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes);
 

@@ -4,17 +4,16 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/text_format.h"
-#include "io/wire_codec.h"
 
 namespace etlopt {
 
 namespace {
 
-const char kBinaryMagic[8] = {'E', 'T', 'L', 'P', 'L', 'A', 'N', '1'};
-const char kCacheFileMagic[8] = {'E', 'T', 'L', 'P', 'L', 'N', 'S', '1'};
+constexpr std::string_view kBinaryMagic = "ETLPLAN1";
 
 std::string_view KindToWord(TransitionRecord::Kind kind) {
   switch (kind) {
@@ -223,9 +222,6 @@ StatusOr<OptimizedPlan> ParseOnePlan(LineCursor& cursor) {
   return plan;
 }
 
-// Binary encoding uses the shared little-endian wire codec
-// (io/wire_codec.h); the helpers below are format-specific only.
-
 }  // namespace
 
 std::string CanonicalMergeConstraints(
@@ -341,7 +337,7 @@ StatusOr<std::vector<OptimizedPlan>> ParsePlansText(const std::string& text) {
 }
 
 std::string SerializePlanBinary(const OptimizedPlan& plan) {
-  std::string out(kBinaryMagic, sizeof(kBinaryMagic));
+  std::string out(kBinaryMagic);
   PutString(out, plan.algorithm);
   PutString(out, plan.cost_model);
   PutString(out, plan.options);
@@ -378,11 +374,10 @@ std::string SerializePlanBinary(const OptimizedPlan& plan) {
 }
 
 StatusOr<OptimizedPlan> ParsePlanBinary(std::string_view bytes) {
-  if (bytes.size() < sizeof(kBinaryMagic) ||
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
+  if (!StartsWith(bytes, kBinaryMagic)) {
     return Status::InvalidArgument("plan: bad binary magic");
   }
-  WireReader reader(bytes.substr(sizeof(kBinaryMagic)));
+  WireReader reader(bytes.substr(kBinaryMagic.size()));
   OptimizedPlan plan;
   ETLOPT_ASSIGN_OR_RETURN(plan.algorithm, reader.String());
   ETLOPT_RETURN_NOT_OK(SearchAlgorithmFromString(plan.algorithm).status());
@@ -454,34 +449,15 @@ std::string SerializePlansBinary(const std::vector<OptimizedPlan>& plans) {
     PutU64(payload, bytes.size());
     payload += bytes;
   }
-  std::string out(kCacheFileMagic, sizeof(kCacheFileMagic));
-  PutU64(out, payload.size());
-  out += payload;
-  PutU64(out, Fnv1a64(payload));
-  return out;
+  return SealChecksummed(kPlanCacheBinaryMagic, payload);
 }
 
 StatusOr<std::vector<OptimizedPlan>> ParsePlansBinary(std::string_view bytes) {
-  if (bytes.size() < sizeof(kCacheFileMagic) + 16 ||
-      std::memcmp(bytes.data(), kCacheFileMagic,
-                  sizeof(kCacheFileMagic)) != 0) {
-    return Status::InvalidArgument(
-        "plan cache: bad magic or truncated file");
-  }
-  WireReader header(bytes.substr(sizeof(kCacheFileMagic)));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, header.U64());
-  if (header.remaining() < 8 || payload_size != header.remaining() - 8) {
-    return Status::InvalidArgument(
-        "plan cache: length mismatch (truncated)");
-  }
   // Whole-file checksum first: a flip anywhere — even inside a length
   // prefix or at a plan boundary — is caught before any plan is parsed.
-  ETLOPT_ASSIGN_OR_RETURN(std::string_view payload,
-                          header.Bytes(payload_size));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, header.U64());
-  if (Fnv1a64(payload) != recorded_checksum) {
-    return Status::InvalidArgument("plan cache: checksum mismatch");
-  }
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      OpenChecksummed(kPlanCacheBinaryMagic, bytes, "plan cache"));
   WireReader reader(payload);
   ETLOPT_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
   std::vector<OptimizedPlan> plans;

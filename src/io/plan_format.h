@@ -92,11 +92,12 @@ StatusOr<std::vector<OptimizedPlan>> ParsePlansText(const std::string& text);
 std::string SerializePlanBinary(const OptimizedPlan& plan);
 StatusOr<OptimizedPlan> ParsePlanBinary(std::string_view bytes);
 
-/// A whole persisted plan-cache file in binary form: "ETLPLNS1" magic,
-/// payload length, length-prefixed SerializePlanBinary entries, trailing
-/// FNV-64 over the payload. The checksum is verified before any plan is
-/// parsed, so any truncation or bit flip — including one that lands
-/// exactly on a plan boundary — fails with a clean InvalidArgument.
+/// A whole persisted plan-cache file in binary form: the checksummed
+/// envelope of common/byte_codec.h under the "ETLPLNS1" magic, around a
+/// u32 count of u64-length-prefixed SerializePlanBinary entries. The
+/// checksum is verified before any plan is parsed, so any truncation or
+/// bit flip — including one that lands exactly on a plan boundary —
+/// fails with a clean InvalidArgument.
 inline constexpr std::string_view kPlanCacheBinaryMagic = "ETLPLNS1";
 std::string SerializePlansBinary(const std::vector<OptimizedPlan>& plans);
 StatusOr<std::vector<OptimizedPlan>> ParsePlansBinary(std::string_view bytes);

@@ -10,7 +10,7 @@
 //
 // Decoding is defensive end to end: bad magic, unknown type, an
 // oversized length prefix (checked against max_frame_bytes BEFORE any
-// allocation), truncation, and checksum mismatch all fail with a clean
+// allocation), truncation, and a bad checksum all fail with a clean
 // InvalidArgument — a corrupt or malicious frame can never produce a
 // partially-decoded message or an allocation bomb. The same codec runs
 // on both sides, so the fuzz tests exercise the server's exact parsing
@@ -64,7 +64,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 
 /// Decodes one complete frame from `bytes`, which must contain exactly
 /// one frame. Rejects bad magic/type, length mismatch against the actual
-/// buffer, payloads past `max_frame_bytes`, and checksum mismatch.
+/// buffer, payloads past `max_frame_bytes`, and a bad checksum.
 StatusOr<Frame> DecodeFrame(std::string_view bytes, size_t max_frame_bytes);
 
 /// Writes one frame to the socket (single WriteFully, so the net.write

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "common/byte_codec.h"
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "io/wire_codec.h"
 
 namespace etlopt {
 

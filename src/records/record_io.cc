@@ -1,19 +1,11 @@
 #include "records/record_io.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/macros.h"
 #include "common/string_util.h"
 
 namespace etlopt {
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
 
 void PutValue(std::string& out, const Value& v) {
   out.push_back(static_cast<char>(v.type()));
@@ -26,68 +18,30 @@ void PutValue(std::string& out, const Value& v) {
     case DataType::kInt64:
       PutU64(out, static_cast<uint64_t>(v.int_value()));
       break;
-    case DataType::kDouble: {
-      const double d = v.double_value();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutU64(out, bits);
+    case DataType::kDouble:
+      PutDouble(out, v.double_value());
       break;
-    }
     case DataType::kString:
-      PutU32(out, static_cast<uint32_t>(v.string_value().size()));
-      out += v.string_value();
+      PutString(out, v.string_value());
       break;
   }
+}
+
+void PutValues(std::string& out, const std::vector<Value>& values) {
+  PutU32(out, static_cast<uint32_t>(values.size()));
+  for (const Value& v : values) PutValue(out, v);
 }
 
 void PutRecord(std::string& out, const Record& record) {
-  PutU32(out, static_cast<uint32_t>(record.size()));
-  for (size_t i = 0; i < record.size(); ++i) PutValue(out, record.value(i));
+  PutValues(out, record.values());
 }
 
-StatusOr<uint8_t> BinaryReader::U8() {
-  ETLOPT_RETURN_NOT_OK(Need(1));
-  return static_cast<uint8_t>(bytes_[pos_++]);
+void PutRecords(std::string& out, const std::vector<Record>& rows) {
+  PutU64(out, rows.size());
+  for (const Record& r : rows) PutRecord(out, r);
 }
 
-StatusOr<uint32_t> BinaryReader::U32() {
-  ETLOPT_RETURN_NOT_OK(Need(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-StatusOr<uint64_t> BinaryReader::U64() {
-  ETLOPT_RETURN_NOT_OK(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-StatusOr<std::string> BinaryReader::String() {
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, U32());
-  ETLOPT_RETURN_NOT_OK(Need(n));
-  std::string s(bytes_.substr(pos_, n));
-  pos_ += n;
-  return s;
-}
-
-Status BinaryReader::Need(size_t n) {
-  if (n > bytes_.size() - pos_) {
-    return Status::InvalidArgument("checkpoint: truncated input");
-  }
-  return Status::OK();
-}
-
-StatusOr<Value> ReadValue(BinaryReader& reader) {
+StatusOr<Value> ReadValue(WireReader& reader) {
   ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
   switch (static_cast<DataType>(tag)) {
     case DataType::kNull:
@@ -102,9 +56,7 @@ StatusOr<Value> ReadValue(BinaryReader& reader) {
       return Value::Int(static_cast<int64_t>(bits));
     }
     case DataType::kDouble: {
-      ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
+      ETLOPT_ASSIGN_OR_RETURN(double d, reader.Double());
       return Value::Double(d);
     }
     case DataType::kString: {
@@ -116,14 +68,39 @@ StatusOr<Value> ReadValue(BinaryReader& reader) {
       StrFormat("checkpoint: bad value tag %u", tag));
 }
 
-StatusOr<Record> ReadRecord(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t arity, reader.U32());
-  Record record;
-  for (uint32_t c = 0; c < arity; ++c) {
+StatusOr<std::vector<Value>> ReadValues(WireReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
+  std::vector<Value> values;
+  // Every cell costs at least its tag byte.
+  values.reserve(std::min<size_t>(n, reader.remaining()));
+  for (uint32_t i = 0; i < n; ++i) {
     ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-    record.Append(std::move(v));
+    values.push_back(std::move(v));
   }
-  return record;
+  return values;
+}
+
+StatusOr<Record> ReadRecord(WireReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> values, ReadValues(reader));
+  return Record(std::move(values));
+}
+
+StatusOr<std::vector<Record>> ReadRecords(WireReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
+  std::vector<Record> rows;
+  rows.reserve(static_cast<size_t>(
+      std::min<uint64_t>(n, reader.remaining() / 4)));
+  for (uint64_t i = 0; i < n; ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
+    rows.push_back(std::move(r));
+  }
+  return rows;
+}
+
+bool AllRowsHaveArity(const std::vector<Record>& rows, size_t arity) {
+  return std::all_of(rows.begin(), rows.end(), [arity](const Record& r) {
+    return r.size() == arity;
+  });
 }
 
 }  // namespace etlopt

@@ -123,7 +123,8 @@ class OptimizerService {
     kBinary,  // "ETLPLNS1" container, whole-file checksum
   };
 
-  /// Persists every persistable cached plan.
+  /// Persists every persistable cached plan, atomically (temp file +
+  /// rename), so a concurrent LoadPlans never sees a half-written file.
   Status SavePlans(const std::string& path,
                    PlanFileFormat format = PlanFileFormat::kText) const;
 

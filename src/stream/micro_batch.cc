@@ -139,8 +139,7 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
     uint64_t h = ExecutionInputFingerprint(capture);
     std::string buf;
     PutU64(buf, static_cast<uint64_t>(source.batch_count_));
-    PutU32(buf, static_cast<uint32_t>(options.event_time_column.size()));
-    buf += options.event_time_column;
+    PutString(buf, options.event_time_column);
     PutU64(buf, static_cast<uint64_t>(options.window_millis));
     PutU64(buf, static_cast<uint64_t>(options.num_batches));
     PutU64(buf, static_cast<uint64_t>(options.batch_rows));

@@ -7,10 +7,11 @@
 // resumes by restoring the file and seeking the source to next_batch —
 // every batch is applied to the persistent state exactly once.
 //
-// Same framing discipline as the ETLCKPT1 recovery checkpoints:
-// length-prefixed payload with a trailing FNV-64 checksum, written via
-// temp-file + rename; a reader rejects (rather than trusts) any file
-// that is truncated, bit-flipped, or from a different run.
+// The payload sits in the checksummed envelope every persisted format
+// shares (common/byte_codec.h) and is written via temp-file + rename.
+// A reader rejects (rather than trusts) any file that is truncated,
+// bit-flipped, or from a different run; the executor also rejects
+// restored rows that do not fit their schema.
 
 #ifndef ETLOPT_STREAM_STREAM_CHECKPOINT_H_
 #define ETLOPT_STREAM_STREAM_CHECKPOINT_H_

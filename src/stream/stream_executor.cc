@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -29,45 +28,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using SteadyClock = std::chrono::steady_clock;
-
-// Bounded retention GC for stale sibling stream checkpoints: after a
-// successful run, only the `max_retained` most recently written stale
-// stream_*.ckpt files under `checkpoint_dir` survive (oldest pruned
-// first); `current_path` is never touched. Best-effort.
-size_t PruneStaleStreamCheckpoints(const std::string& checkpoint_dir,
-                                   const std::string& current_path,
-                                   size_t max_retained) {
-  std::error_code ec;
-  fs::directory_iterator it(
-      checkpoint_dir, fs::directory_options::skip_permission_denied, ec);
-  if (ec) return 0;
-  std::vector<std::pair<fs::file_time_type, fs::path>> stale;
-  for (fs::directory_iterator end; it != end; it.increment(ec)) {
-    if (ec) return 0;
-    const fs::directory_entry& entry = *it;
-    std::error_code entry_ec;
-    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "stream_") || !EndsWith(name, ".ckpt")) continue;
-    if (entry.path() == fs::path(current_path)) continue;
-    fs::file_time_type mtime = entry.last_write_time(entry_ec);
-    if (entry_ec) mtime = fs::file_time_type::min();
-    stale.emplace_back(mtime, entry.path());
-  }
-  if (stale.size() <= max_retained) return 0;
-  std::sort(stale.begin(), stale.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  size_t pruned = 0;
-  for (size_t i = 0; i + max_retained < stale.size(); ++i) {
-    std::error_code rm_ec;
-    fs::remove(stale[i].second, rm_ec);
-    if (!rm_ec) ++pruned;
-  }
-  return pruned;
-}
 
 // ---- incremental execution plan -----------------------------------------
 
@@ -250,53 +210,35 @@ uint8_t TagOf(MemberMode mode) {
   return kTagStateless;
 }
 
-void PutValueVec(std::string& out, const std::vector<Value>& values) {
-  PutU32(out, static_cast<uint32_t>(values.size()));
-  for (const Value& v : values) PutValue(out, v);
+// Restored state must fit the schema it is restored into: a checksum
+// proves only that the bytes are the ones written.
+constexpr const char* kMisfitRow =
+    "stream checkpoint: restored row does not fit its schema";
+
+StatusOr<std::vector<Value>> ReadKey(WireReader& reader, size_t arity) {
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key, ReadValues(reader));
+  if (key.size() != arity) return Status::InvalidArgument(kMisfitRow);
+  return key;
 }
 
-StatusOr<std::vector<Value>> ReadValueVec(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-  std::vector<Value> values;
-  values.reserve(std::min<size_t>(n, reader.remaining()));
-  for (uint32_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
-void PutRecords(std::string& out, const std::vector<Record>& rows) {
-  PutU64(out, rows.size());
-  for (const Record& r : rows) PutRecord(out, r);
-}
-
-StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-  std::vector<Record> rows;
-  rows.reserve(static_cast<size_t>(
-      std::min<uint64_t>(n, reader.remaining() / 4)));
-  for (uint64_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
-    rows.push_back(std::move(r));
+StatusOr<std::vector<Record>> ReadRows(WireReader& reader, size_t arity) {
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<Record> rows, ReadRecords(reader));
+  if (!AllRowsHaveArity(rows, arity)) {
+    return Status::InvalidArgument(kMisfitRow);
   }
   return rows;
 }
 
 void PutAcc(std::string& out, const AggAcc& acc) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(acc.sum));
-  std::memcpy(&bits, &acc.sum, sizeof(bits));
-  PutU64(out, bits);
+  PutDouble(out, acc.sum);
   PutU64(out, static_cast<uint64_t>(acc.non_null));
   PutValue(out, acc.min);
   PutValue(out, acc.max);
 }
 
-StatusOr<AggAcc> ReadAcc(BinaryReader& reader) {
+StatusOr<AggAcc> ReadAcc(WireReader& reader) {
   AggAcc acc;
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
-  std::memcpy(&acc.sum, &bits, sizeof(acc.sum));
+  ETLOPT_ASSIGN_OR_RETURN(acc.sum, reader.Double());
   ETLOPT_ASSIGN_OR_RETURN(uint64_t non_null, reader.U64());
   acc.non_null = static_cast<int64_t>(non_null);
   ETLOPT_ASSIGN_OR_RETURN(acc.min, ReadValue(reader));
@@ -312,10 +254,12 @@ void PutCounts(std::string& out, const std::map<Record, int64_t>& counts) {
   }
 }
 
-Status ReadCounts(BinaryReader& reader, std::map<Record, int64_t>* counts) {
+Status ReadCounts(WireReader& reader, size_t arity,
+                  std::map<Record, int64_t>* counts) {
   ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
   for (uint64_t i = 0; i < n; ++i) {
     ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
+    if (r.size() != arity) return Status::InvalidArgument(kMisfitRow);
     ETLOPT_ASSIGN_OR_RETURN(uint64_t c, reader.U64());
     (*counts)[std::move(r)] = static_cast<int64_t>(c);
   }
@@ -339,7 +283,7 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
         break;
       case kTagPk:
         PutU64(out, ms.pk_seen.size());
-        for (const auto& key : ms.pk_seen) PutValueVec(out, key);
+        for (const auto& key : ms.pk_seen) PutValues(out, key);
         break;
       case kTagJoin:
         PutRecords(out, ms.left_rows);
@@ -348,7 +292,7 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
       case kTagAgg:
         PutU64(out, ms.groups.size());
         for (const auto& [key, accs] : ms.groups) {
-          PutValueVec(out, key);
+          PutValues(out, key);
           PutU32(out, static_cast<uint32_t>(accs.size()));
           for (const AggAcc& acc : accs) PutAcc(out, acc);
         }
@@ -364,25 +308,22 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
 }
 
 // Rebuilds a join index from a restored row history. Stored rows all
-// have non-null keys (null-key rows never join and are never stored).
-Status RebuildJoinIndex(
+// have non-null keys (null-key rows never join and are never stored),
+// and ReadRows has checked that every row fits the input schema.
+void RebuildJoinIndex(
     const std::vector<Record>& rows, const std::vector<size_t>& key_idx,
     std::map<std::vector<Value>, std::vector<size_t>>* index) {
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].size() <= (key_idx.empty()
-                               ? 0
-                               : *std::max_element(key_idx.begin(),
-                                                   key_idx.end()))) {
-      return Status::InvalidArgument("stream checkpoint: short join row");
-    }
     (*index)[ExtractKey(rows[i], key_idx)].push_back(i);
   }
-  return Status::OK();
 }
 
-Status ParseNodeState(const NodePlan& plan, std::string_view blob,
-                      NodeState* state) {
-  BinaryReader reader(blob);
+// `port_schemas` are the node's input schemas, which its port histories
+// must fit.
+Status ParseNodeState(const NodePlan& plan,
+                      const std::vector<Schema>& port_schemas,
+                      std::string_view blob, NodeState* state) {
+  WireReader reader(blob);
   if (plan.recompute) {
     ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
     if (tag != kTagRecompute) {
@@ -394,7 +335,8 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
           "stream checkpoint: port count mismatch");
     }
     for (uint32_t p = 0; p < ports; ++p) {
-      ETLOPT_ASSIGN_OR_RETURN(state->port_history[p], ReadRecords(reader));
+      ETLOPT_ASSIGN_OR_RETURN(state->port_history[p],
+                              ReadRows(reader, port_schemas[p].size()));
     }
   } else {
     ETLOPT_ASSIGN_OR_RETURN(uint32_t members, reader.U32());
@@ -416,28 +358,27 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
         case kTagPk: {
           ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
           for (uint64_t i = 0; i < n; ++i) {
-            ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                    ReadValueVec(reader));
+            ETLOPT_ASSIGN_OR_RETURN(
+                std::vector<Value> key,
+                ReadKey(reader, mp.key_idx_left.size()));
             ms.pk_seen.insert(std::move(key));
           }
           break;
         }
         case kTagJoin: {
-          ETLOPT_ASSIGN_OR_RETURN(ms.left_rows, ReadRecords(reader));
-          ETLOPT_ASSIGN_OR_RETURN(ms.right_rows, ReadRecords(reader));
-          ETLOPT_RETURN_NOT_OK(RebuildJoinIndex(ms.left_rows,
-                                                mp.key_idx_left,
-                                                &ms.left_index));
-          ETLOPT_RETURN_NOT_OK(RebuildJoinIndex(ms.right_rows,
-                                                mp.key_idx_right,
-                                                &ms.right_index));
+          ETLOPT_ASSIGN_OR_RETURN(
+              ms.left_rows, ReadRows(reader, mp.input_schemas[0].size()));
+          ETLOPT_ASSIGN_OR_RETURN(
+              ms.right_rows, ReadRows(reader, mp.input_schemas[1].size()));
+          RebuildJoinIndex(ms.left_rows, mp.key_idx_left, &ms.left_index);
+          RebuildJoinIndex(ms.right_rows, mp.key_idx_right, &ms.right_index);
           break;
         }
         case kTagAgg: {
           ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
           for (uint64_t i = 0; i < n; ++i) {
             ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                    ReadValueVec(reader));
+                                    ReadKey(reader, mp.group_idx.size()));
             ETLOPT_ASSIGN_OR_RETURN(uint32_t accs, reader.U32());
             if (accs != mp.agg_fns.size()) {
               return Status::InvalidArgument(
@@ -454,9 +395,12 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
           break;
         }
         case kTagBag: {
-          ETLOPT_ASSIGN_OR_RETURN(ms.bag_order, ReadRecords(reader));
-          ETLOPT_RETURN_NOT_OK(ReadCounts(reader, &ms.left_counts));
-          ETLOPT_RETURN_NOT_OK(ReadCounts(reader, &ms.right_counts));
+          const size_t left_arity = mp.input_schemas[0].size();
+          ETLOPT_ASSIGN_OR_RETURN(ms.bag_order, ReadRows(reader, left_arity));
+          ETLOPT_RETURN_NOT_OK(
+              ReadCounts(reader, left_arity, &ms.left_counts));
+          ETLOPT_RETURN_NOT_OK(ReadCounts(
+              reader, mp.right_realign_idx.size(), &ms.right_counts));
           break;
         }
         default:
@@ -589,6 +533,18 @@ class StreamRun {
         checkpoint->next_batch > checkpoint->batch_count) {
       return reject();
     }
+    // Every restored target must be one of this workflow's, with rows
+    // that fit its schema.
+    size_t targets_matched = 0;
+    for (const auto& [id, plan] : plans_) {
+      if (!plan.is_target) continue;
+      const RecordSetDef& def = workflow_.recordset(id);
+      auto rows = checkpoint->target_data.find(def.name);
+      if (rows == checkpoint->target_data.end()) continue;
+      if (!AllRowsHaveArity(rows->second, def.schema.size())) return reject();
+      ++targets_matched;
+    }
+    if (targets_matched != checkpoint->target_data.size()) return reject();
     // Restore operator state all-or-nothing: a missing or malformed
     // blob rejects the whole checkpoint rather than resuming half the
     // state.
@@ -600,7 +556,11 @@ class StreamRun {
       NodeState state;
       state.members.resize(plan.members.size());
       state.port_history.resize(plan.port_history.size());
-      if (!ParseNodeState(plan, blob->second, &state).ok()) return reject();
+      if (!ParseNodeState(plan, workflow_.InputSchemas(id), blob->second,
+                          &state)
+               .ok()) {
+        return reject();
+      }
       restored.emplace(id, std::move(state));
     }
     for (auto& [id, state] : restored) states_[id] = std::move(state);
@@ -1153,9 +1113,15 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
       std::error_code ec;
       fs::remove(checkpoint_path, ec);  // best-effort cleanup
     }
-    stats.stale_checkpoints_pruned = PruneStaleStreamCheckpoints(
+    stats.stale_checkpoints_pruned = PruneOldestEntries(
         options_.checkpoint_dir, checkpoint_path,
-        options_.max_retained_checkpoints);
+        options_.max_retained_checkpoints,
+        [](const fs::directory_entry& entry) {
+          std::error_code ec;
+          const std::string name = entry.path().filename().string();
+          return entry.is_regular_file(ec) && !ec &&
+                 StartsWith(name, "stream_") && EndsWith(name, ".ckpt");
+        });
   }
   if (stats_out != nullptr) *stats_out = stats;
   return result;

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "fault/fault_injector.h"
+#include "stream/stream_checkpoint.h"
 #include "workload/scenarios.h"
 
 namespace etlopt {
@@ -253,6 +254,51 @@ TEST(RecoveryTest, CorruptCheckpointFilesAreRejectedAndRecomputed) {
   fs::remove_all(dir);
 }
 
+TEST(RecoveryTest, ShortRowCheckpointIsRejected) {
+  auto s = BuildFig1Scenario();
+  ASSERT_TRUE(s.ok());
+  ExecutionInput input = MakeFig1Input(33, 90);
+  auto plain = ExecuteWorkflow(s->workflow, input);
+  ASSERT_TRUE(plain.ok());
+
+  std::string dir = UniqueDir("short_row");
+  RecoveryOptions options = FastOptions(dir);
+  options.checkpoint_policy = CheckpointPolicy::kAllNodes;
+  options.remove_checkpoints_on_success = false;
+  RecoverableExecutor exec(options);
+  ASSERT_TRUE(exec.Execute(s->workflow, input).ok());
+
+  // Cut every row of every checkpoint to one column and re-serialize:
+  // the checksum is valid, only the arity is wrong.
+  size_t shortened = 0;
+  for (const auto& run_entry : fs::directory_iterator(dir)) {
+    for (const auto& entry : fs::directory_iterator(run_entry.path())) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      auto checkpoint = ParseCheckpoint(buf.str());
+      ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+      ASSERT_FALSE(checkpoint->rows.empty()) << entry.path();
+      for (Record& row : checkpoint->rows) {
+        ASSERT_GT(row.size(), 1u);
+        row = Record({row.value(0)});
+      }
+      std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+      out << SerializeCheckpoint(*checkpoint);
+      ++shortened;
+    }
+  }
+  ASSERT_GT(shortened, 0u);
+
+  RecoveryStats stats;
+  auto r = exec.Execute(s->workflow, input, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(stats.checkpoints_rejected, shortened);
+  EXPECT_FALSE(stats.resumed);
+  ExpectSameResult(*plain, *r);
+  fs::remove_all(dir);
+}
+
 TEST(RecoveryTest, DeadlineExceededSurfaces) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
@@ -270,6 +316,23 @@ TEST(RecoveryTest, DeadlineExceededSurfaces) {
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
   // The run did work before the deadline hit; its stats must say so.
   EXPECT_GE(stats.nodes_executed, 1u);
+}
+
+// An ETLSTRM1 stream checkpoint exercising every field.
+StreamCheckpoint SampleStreamCheckpoint() {
+  StreamCheckpoint checkpoint;
+  checkpoint.workflow_hash = 0x0123456789abcdefull;
+  checkpoint.capture_fingerprint = 0xfedcba9876543210ull;
+  checkpoint.next_batch = 3;
+  checkpoint.batch_count = 8;
+  checkpoint.rows_out = {{2, 40}, {6, 0}};
+  checkpoint.target_data["DW"] = {
+      Record({Value::Int(-7), Value::Double(2.5), Value::String("a\nb")}),
+      Record({Value::Null(), Value::Bool(false), Value::String("")})};
+  checkpoint.target_data["EMPTY"] = {};
+  checkpoint.state_blobs["n4"] = std::string("\x00\xff\x01state", 8);
+  checkpoint.state_blobs["n4.p1"] = "";
+  return checkpoint;
 }
 
 TEST(CheckpointFormatTest, RoundTripIsExact) {
@@ -299,6 +362,19 @@ TEST(CheckpointFormatTest, RoundTripIsExact) {
   }
   // Byte-exact re-serialization.
   EXPECT_EQ(SerializeCheckpoint(*parsed), bytes);
+
+  const StreamCheckpoint stream = SampleStreamCheckpoint();
+  const std::string stream_bytes = SerializeStreamCheckpoint(stream);
+  auto stream_parsed = ParseStreamCheckpoint(stream_bytes);
+  ASSERT_TRUE(stream_parsed.ok()) << stream_parsed.status().ToString();
+  EXPECT_EQ(stream_parsed->workflow_hash, stream.workflow_hash);
+  EXPECT_EQ(stream_parsed->capture_fingerprint, stream.capture_fingerprint);
+  EXPECT_EQ(stream_parsed->next_batch, stream.next_batch);
+  EXPECT_EQ(stream_parsed->batch_count, stream.batch_count);
+  EXPECT_EQ(stream_parsed->rows_out, stream.rows_out);
+  EXPECT_EQ(stream_parsed->target_data, stream.target_data);
+  EXPECT_EQ(stream_parsed->state_blobs, stream.state_blobs);
+  EXPECT_EQ(SerializeStreamCheckpoint(*stream_parsed), stream_bytes);
 }
 
 TEST(CheckpointFormatTest, EveryTruncationIsRejectedCleanly) {
@@ -313,6 +389,15 @@ TEST(CheckpointFormatTest, EveryTruncationIsRejectedCleanly) {
   for (size_t len = 0; len < bytes.size(); ++len) {
     auto parsed = ParseCheckpoint(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(parsed.ok()) << "truncation at " << len << " accepted";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << parsed.status().ToString();
+  }
+  const std::string stream_bytes =
+      SerializeStreamCheckpoint(SampleStreamCheckpoint());
+  for (size_t len = 0; len < stream_bytes.size(); ++len) {
+    auto parsed =
+        ParseStreamCheckpoint(std::string_view(stream_bytes).substr(0, len));
+    EXPECT_FALSE(parsed.ok()) << "stream truncation at " << len << " accepted";
     EXPECT_TRUE(parsed.status().IsInvalidArgument())
         << parsed.status().ToString();
   }
@@ -338,6 +423,16 @@ TEST(CheckpointFormatTest, EveryBitFlipIsRejectedCleanly) {
     // The checksum guards the payload; magic/length flips fail framing.
     EXPECT_FALSE(parsed.ok()) << "bit flip at " << offset << " accepted";
   }
+  const std::string stream_bytes =
+      SerializeStreamCheckpoint(SampleStreamCheckpoint());
+  for (size_t offset = 0; offset < stream_bytes.size(); ++offset) {
+    std::string corrupt = stream_bytes;
+    corrupt[offset] = static_cast<char>(
+        static_cast<unsigned char>(corrupt[offset]) ^
+        (1u << rng.UniformIndex(8)));
+    EXPECT_FALSE(ParseStreamCheckpoint(corrupt).ok())
+        << "stream bit flip at " << offset << " accepted";
+  }
 }
 
 TEST(CheckpointFormatTest, GarbageIsRejected) {
@@ -348,6 +443,21 @@ TEST(CheckpointFormatTest, GarbageIsRejected) {
   huge_count += std::string(8, '\xff');  // absurd payload length
   huge_count += std::string(64, 'x');
   EXPECT_FALSE(ParseCheckpoint(huge_count).ok());
+
+  EXPECT_FALSE(ParseStreamCheckpoint("").ok());
+  EXPECT_FALSE(ParseStreamCheckpoint("ETLSTRM1").ok());
+  EXPECT_FALSE(ParseStreamCheckpoint("not a checkpoint at all").ok());
+  std::string stream_huge_count("ETLSTRM1", 8);
+  stream_huge_count += std::string(8, '\xff');
+  stream_huge_count += std::string(64, 'x');
+  EXPECT_FALSE(ParseStreamCheckpoint(stream_huge_count).ok());
+  // A recovery checkpoint is not a stream checkpoint, and vice versa.
+  Checkpoint checkpoint;
+  checkpoint.rows.push_back(Record({Value::Int(1)}));
+  EXPECT_FALSE(ParseStreamCheckpoint(SerializeCheckpoint(checkpoint)).ok());
+  EXPECT_FALSE(
+      ParseCheckpoint(SerializeStreamCheckpoint(SampleStreamCheckpoint()))
+          .ok());
 }
 
 TEST(InputFingerprintTest, SensitiveToDataAndLookups) {

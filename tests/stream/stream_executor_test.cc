@@ -10,12 +10,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "activity/templates.h"
 #include "engine/executor.h"
+#include "fault/fault_injector.h"
 #include "graph/workflow.h"
+#include "stream/stream_checkpoint.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"
 
@@ -348,6 +351,146 @@ TEST(StreamExecutorTest, CorruptCheckpointIsRejectedNotTrusted) {
   EXPECT_GE(stats.checkpoints_rejected, 1u);
   EXPECT_EQ(stats.batches_run, 4u);
   ExpectSameMultiset(*baseline, *rerun);
+  fs::remove_all(dir);
+}
+
+TEST(StreamExecutorTest, ShortRowCheckpointIsRejected) {
+  auto s = BuildFig1Scenario();
+  ASSERT_TRUE(s.ok());
+  ExecutionInput input = MakeFig1Input(/*seed=*/7, /*rows_per_source=*/80);
+  auto baseline = ExecuteWorkflow(s->workflow, input);
+  ASSERT_TRUE(baseline.ok());
+  const std::string dir = UniqueDir("short_row");
+  StreamOptions options;
+  options.num_batches = 6;
+  options.checkpoint_dir = dir;
+  options.remove_checkpoints_on_success = false;
+  StreamExecutor exec(options);
+  ASSERT_TRUE(exec.Run(s->workflow, input).ok());
+
+  // Cut every target row to one column and re-serialize: the checksum
+  // is valid, only the arity is wrong.
+  size_t shortened = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    auto checkpoint = ParseStreamCheckpoint(buf.str());
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+    for (auto& [name, rows] : checkpoint->target_data) {
+      for (Record& row : rows) {
+        ASSERT_GT(row.size(), 1u) << name;
+        row = Record({row.value(0)});
+        ++shortened;
+      }
+    }
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out << SerializeStreamCheckpoint(*checkpoint);
+  }
+  ASSERT_GT(shortened, 0u);
+
+  StreamStats stats;
+  auto rerun = exec.Run(s->workflow, input, &stats);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_FALSE(stats.resumed);
+  EXPECT_EQ(stats.checkpoints_rejected, 1u);
+  EXPECT_EQ(stats.batches_run, 6u);
+  ExpectSameMultiset(*baseline, *rerun);
+  fs::remove_all(dir);
+}
+
+// The restore-time arity checks must accept every checkpoint the
+// executor writes itself. One workflow holds every kind of persisted
+// state: PK seen keys, join histories, aggregation groups, bag rows and
+// counts, and a recompute node's port history (the second join sits
+// downstream of the aggregation's refresh output). A crash mid-stream
+// must resume from the frontier with nothing rejected.
+TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
+  Schema ka = Schema::MakeOrDie(
+      {{"K", DataType::kInt64}, {"A", DataType::kString}});
+  // Both sides of each join differ in arity, so a check against the
+  // wrong side's schema would reject the checkpoint.
+  Schema kbc = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                  {"B", DataType::kString},
+                                  {"C", DataType::kInt64}});
+  Schema kdef = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                   {"D", DataType::kString},
+                                   {"E", DataType::kInt64},
+                                   {"F", DataType::kInt64}});
+  Schema out = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                  {"CNT_B", DataType::kInt64},
+                                  {"D", DataType::kString},
+                                  {"E", DataType::kInt64},
+                                  {"F", DataType::kInt64}});
+  Workflow w;
+  NodeId l = w.AddRecordSet({"L", ka, 30.0});
+  NodeId r = w.AddRecordSet({"R", kbc, 30.0});
+  NodeId r2 = w.AddRecordSet({"R2", kdef, 30.0});
+  NodeId l2 = w.AddRecordSet({"L2", ka, 30.0});
+  NodeId m = w.AddRecordSet({"M", ka, 30.0});
+  auto pk = MakePrimaryKeyCheck("pk", {"K"}, 0.5);
+  auto join = MakeJoin("join", {"K"}, 0.5);
+  auto agg = MakeAggregation("agg", {"K"}, {{AggFn::kCount, "B", "CNT_B"}},
+                             0.2);
+  auto rejoin = MakeJoin("rejoin", {"K"}, 0.5);
+  auto minus = MakeDifference("minus", 0.5);
+  ASSERT_TRUE(pk.ok() && join.ok() && agg.ok() && rejoin.ok() && minus.ok());
+  auto pk_id = w.AddActivity(*pk, {l});
+  ASSERT_TRUE(pk_id.ok()) << pk_id.status().ToString();
+  auto join_id = w.AddActivity(*join, {*pk_id, r});
+  ASSERT_TRUE(join_id.ok()) << join_id.status().ToString();
+  auto agg_id = w.AddActivity(*agg, {*join_id});
+  ASSERT_TRUE(agg_id.ok()) << agg_id.status().ToString();
+  auto rejoin_id = w.AddActivity(*rejoin, {*agg_id, r2});
+  ASSERT_TRUE(rejoin_id.ok()) << rejoin_id.status().ToString();
+  auto minus_id = w.AddActivity(*minus, {l2, m});
+  ASSERT_TRUE(minus_id.ok()) << minus_id.status().ToString();
+  ASSERT_TRUE(w.Connect(*rejoin_id, w.AddRecordSet({"T1", out, 30.0})).ok());
+  ASSERT_TRUE(w.Connect(*minus_id, w.AddRecordSet({"T2", ka, 30.0})).ok());
+  ASSERT_TRUE(w.Finalize().ok());
+
+  ExecutionInput input;
+  for (int64_t i = 0; i < 30; ++i) {
+    input.source_data["L"].push_back(Row2(i % 7, "l"));
+    input.source_data["R"].push_back(
+        Record({Value::Int(i % 5), Value::String("r"), Value::Int(i)}));
+    input.source_data["R2"].push_back(Record({Value::Int(i % 4),
+                                              Value::String("s"),
+                                              Value::Int(i), Value::Int(-i)}));
+    input.source_data["L2"].push_back(Row2(i % 4, "x"));
+    input.source_data["M"].push_back(Row2(i % 6, "x"));
+  }
+  auto baseline = ExecuteWorkflow(w, input);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  const std::string dir = UniqueDir("every_state");
+  StreamOptions options;
+  options.num_batches = 5;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every_batches = 1;
+  StreamExecutor exec(options);
+  {
+    FaultSchedule schedule;
+    FaultSpec crash;
+    crash.site = FaultSite::kStreamSourceNext;
+    crash.hit = 3;  // batches 0-2 are committed and checkpointed
+    crash.kind = FaultKind::kCrash;
+    schedule.faults.push_back(crash);
+    ScopedFaultInjection arm(schedule);
+    auto crashed = exec.Run(w, input);
+    ASSERT_FALSE(crashed.ok());
+    ASSERT_TRUE(IsInjectedCrash(crashed.status()))
+        << crashed.status().ToString();
+  }
+  StreamStats stats;
+  auto resumed = exec.Run(w, input, &stats);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(stats.delta_nodes, 2u);    // pk, join
+  EXPECT_EQ(stats.refresh_nodes, 3u);  // agg, rejoin, minus
+  EXPECT_TRUE(stats.resumed);
+  EXPECT_EQ(stats.checkpoints_rejected, 0u);
+  EXPECT_EQ(stats.batches_skipped, 3u);
+  ExpectSameMultiset(*baseline, *resumed);
   fs::remove_all(dir);
 }
 
