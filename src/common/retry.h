@@ -32,6 +32,10 @@ struct RetryPolicy {
   double jitter = 0.5;
 };
 
+/// Seed of every retry loop's backoff jitter, so retry timing is
+/// reproducible.
+inline constexpr uint64_t kRetrySeed = 42;
+
 /// Rejects nonsensical policies (max_attempts < 1, zero/negative backoff,
 /// multiplier < 1, max_backoff < initial_backoff, jitter outside [0, 1])
 /// with InvalidArgument. Mirrors ValidateSearchOptions: every entry point

@@ -203,7 +203,7 @@ StatusOr<ExecutionResult> RecoverableExecutor::Run(
                Clock::now() - start)
                .count() >= options_.deadline_millis;
   };
-  Rng rng(options_.retry_seed);
+  Rng rng(kRetrySeed);
   const bool checkpointing =
       !options_.checkpoint_dir.empty() &&
       options_.checkpoint_policy != CheckpointPolicy::kNone;

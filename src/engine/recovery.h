@@ -66,8 +66,6 @@ struct RecoveryOptions {
   /// Wall-clock budget for one Execute() call, retries and backoff
   /// included. 0 = unlimited; negative is rejected.
   int64_t deadline_millis = 0;
-  /// Seed for backoff jitter (reproducible retry timing).
-  uint64_t retry_seed = 42;
   /// Remove this run's checkpoints after a successful Execute().
   bool remove_checkpoints_on_success = true;
   /// The optimizer's recovery-point decision, honored when

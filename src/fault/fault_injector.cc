@@ -63,16 +63,18 @@ FaultSchedule MakeRandomFaultSchedule(uint64_t seed,
   Rng rng(seed);
   FaultSchedule schedule;
   schedule.faults.reserve(options.num_faults);
-  const double total_weight = options.error_weight + options.delay_weight +
-                              options.crash_weight;
+  constexpr double kErrorWeight = 0.6;
+  constexpr double kDelayWeight = 0.2;
+  constexpr double kCrashWeight = 0.2;
   for (size_t i = 0; i < options.num_faults; ++i) {
     FaultSpec spec;
     spec.site = AllFaultSites()[rng.UniformIndex(kNumFaultSites)];
     spec.hit = options.max_hit == 0 ? 0 : rng.Next() % options.max_hit;
-    double draw = rng.UniformDouble() * (total_weight > 0 ? total_weight : 1);
-    if (draw < options.error_weight) {
+    double draw =
+        rng.UniformDouble() * (kErrorWeight + kDelayWeight + kCrashWeight);
+    if (draw < kErrorWeight) {
       spec.kind = FaultKind::kError;
-    } else if (draw < options.error_weight + options.delay_weight) {
+    } else if (draw < kErrorWeight + kDelayWeight) {
       spec.kind = FaultKind::kDelay;
     } else {
       spec.kind = FaultKind::kCrash;

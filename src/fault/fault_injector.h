@@ -99,15 +99,12 @@ struct FaultScheduleOptions {
   size_t num_faults = 3;
   /// Hit indices are drawn uniformly from [0, max_hit).
   uint64_t max_hit = 64;
-  /// Relative weights of error / delay / crash faults.
-  double error_weight = 0.6;
-  double delay_weight = 0.2;
-  double crash_weight = 0.2;
   int64_t delay_micros = 200;
 };
 
 /// Draws a reproducible random schedule: equal seeds yield equal
-/// schedules. Sites are drawn uniformly from AllFaultSites().
+/// schedules. Sites are drawn uniformly from AllFaultSites(); kinds are
+/// errors, delays and crashes in the ratio 3 : 1 : 1.
 FaultSchedule MakeRandomFaultSchedule(uint64_t seed,
                                       const FaultScheduleOptions& options = {});
 

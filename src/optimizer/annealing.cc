@@ -15,6 +15,13 @@ namespace etlopt {
 
 namespace {
 
+// The cooling schedule: the temperature starts at a fraction of the
+// initial state's cost, cools geometrically per plateau, and the search
+// stops once it falls below a far smaller fraction.
+constexpr double kInitialTemperatureFraction = 0.05;
+constexpr double kCooling = 0.92;
+constexpr double kMinTemperatureFraction = 1e-5;
+
 // A proposable move; operands are looked up lazily because node ids churn
 // as transitions apply.
 struct Move {
@@ -106,10 +113,9 @@ StatusOr<SearchResult> SimulatedAnnealingSearch(
   Workflow scratch = current->workflow;
   Workflow::UndoLog log;
 
-  double temperature =
-      annealing.initial_temperature_fraction * result.initial_cost;
+  double temperature = kInitialTemperatureFraction * result.initial_cost;
   const double floor_temperature =
-      annealing.min_temperature_fraction * result.initial_cost;
+      kMinTemperatureFraction * result.initial_cost;
   bool budget_hit = false;
 
   while (temperature > floor_temperature) {
@@ -166,7 +172,7 @@ StatusOr<SearchResult> SimulatedAnnealingSearch(
       }
     }
     if (budget_hit) break;
-    temperature *= annealing.cooling;
+    temperature *= kCooling;
   }
 
   result.best = *best;

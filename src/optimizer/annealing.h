@@ -19,19 +19,14 @@ namespace etlopt {
 struct AnnealingOptions {
   /// PRNG seed; equal seeds give equal runs.
   uint64_t seed = 1;
-  /// Starting temperature, as a fraction of the initial state's cost.
-  double initial_temperature_fraction = 0.05;
-  /// Geometric cooling factor per plateau.
-  double cooling = 0.92;
   /// Proposals evaluated at each temperature.
   size_t steps_per_temperature = 40;
-  /// Stop when the temperature falls below this fraction of the initial
-  /// cost.
-  double min_temperature_fraction = 1e-5;
 };
 
 /// Simulated-annealing optimization. Shares SearchOptions budgets
 /// (max_states counts evaluated proposals) with the other algorithms.
+/// The temperature starts at 5% of the initial state's cost, cools by a
+/// factor 0.92 per plateau, and the search stops below 1e-5 of it.
 StatusOr<SearchResult> SimulatedAnnealingSearch(
     const Workflow& initial, const CostModel& model,
     const SearchOptions& options = {},

@@ -16,6 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Wall-clock budget of the degraded-mode greedy search.
+constexpr int64_t kDegradedMaxMillis = 250;
+
 double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -59,11 +62,9 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
         "got %lld",
         static_cast<long long>(options.default_deadline_millis)));
   }
-  if (options.degrade_on_failure &&
-      (options.degraded_max_states < 1 || options.degraded_max_millis < 1)) {
+  if (options.degrade_on_failure && options.degraded_max_states < 1) {
     return Status::InvalidArgument(
-        "service: degraded-mode search needs a positive state and "
-        "wall-clock budget");
+        "service: degraded-mode search needs a positive state budget");
   }
   return Status::OK();
 }
@@ -208,8 +209,7 @@ StatusOr<std::shared_ptr<const CachedPlan>> OptimizerService::ComputePlan(
   };
   // Jitter is seeded per compute so concurrent requests stay independent
   // yet a single-threaded run is reproducible.
-  Rng rng(options_.retry_seed ^
-          retry_nonce_.fetch_add(1, std::memory_order_relaxed));
+  Rng rng(kRetrySeed ^ retry_nonce_.fetch_add(1, std::memory_order_relaxed));
   uint64_t retries = 0;
   Status status =
       RetryWithBackoff(options_.retry, rng, "search", attempt, &retries);
@@ -227,7 +227,7 @@ StatusOr<OptimizeResponse> OptimizerService::Degrade(
     const OptimizeRequest& request, OptimizeResponse response) {
   SearchOptions options = request.options;
   options.max_states = options_.degraded_max_states;
-  options.max_millis = options_.degraded_max_millis;
+  options.max_millis = kDegradedMaxMillis;
   StatusOr<SearchResult> result =
       RunSearch(SearchAlgorithm::kHeuristicGreedy, request.workflow, model_,
                 options, request.merge_constraints);

@@ -39,8 +39,6 @@ struct ServiceOptions {
   int64_t default_deadline_millis = 0;
   /// Retry of transiently-failing searches, with jittered backoff.
   RetryPolicy retry;
-  /// Seed for the retry jitter (reproducible service behavior).
-  uint64_t retry_seed = 42;
   /// Trips after repeated search failures; while open, compute attempts
   /// are rejected instantly (cache hits still serve).
   CircuitBreakerOptions breaker;
@@ -48,10 +46,9 @@ struct ServiceOptions {
   /// heuristic-greedy plan (marked `degraded`, never cached) instead of
   /// erroring.
   bool degrade_on_failure = true;
-  /// State budget of the degraded-mode greedy search.
+  /// State budget of the degraded-mode greedy search, which also stops
+  /// after 250 ms.
   size_t degraded_max_states = 64;
-  /// Wall-clock budget of the degraded-mode greedy search.
-  int64_t degraded_max_millis = 250;
 };
 
 /// Rejects nonsensical configurations (bad retry policy or breaker

@@ -56,7 +56,6 @@ class MicroBatchSource {
                                          const StreamOptions& options);
 
   size_t batch_count() const { return batch_count_; }
-  size_t cursor() const { return cursor_; }
   bool Exhausted() const { return cursor_ >= batch_count_; }
 
   /// Moves the cursor (0 <= batch <= batch_count). Re-anchors the replay

@@ -37,8 +37,9 @@ struct StreamCheckpoint {
   uint64_t batch_count = 0;
   std::map<NodeId, size_t> rows_out;
   std::map<std::string, std::vector<Record>> target_data;
-  /// Per-operator incremental state, keyed by a stable slot name
-  /// ("n<node>" for node state, "n<node>.p<port>" for port histories).
+  /// Per-node incremental state, keyed by a stable slot name "n<node>":
+  /// each chain member's tagged operator state, or, for a node that
+  /// recomputes, its port histories behind tag 0xFF.
   std::map<std::string, std::string> state_blobs;
 };
 

@@ -5,21 +5,18 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "activity/activity.h"
-#include "activity/agg_accumulator.h"
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/retry.h"
 #include "common/string_util.h"
-#include "engine/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "records/record_io.h"
+#include "stream/delta_operators.h"
 #include "stream/stream_checkpoint.h"
 
 namespace etlopt {
@@ -29,49 +26,23 @@ namespace {
 namespace fs = std::filesystem;
 using SteadyClock = std::chrono::steady_clock;
 
-// ---- incremental execution plan -----------------------------------------
+// The checkpoint tags besides the operators' own: a stateless member's
+// (no payload) and a recompute node's port histories.
+constexpr uint8_t kTagStateless = 0;
+constexpr uint8_t kTagRecompute = 0xFF;
 
-/// How one chain member processes the stream flowing through its node.
-enum class MemberMode {
-  /// Delta in, delta out, no state: run the activity on the batch.
-  kStateless,
-  /// PrimaryKeyCheck: persistent seen-key set, emits first occurrences.
-  kPkDelta,
-  /// Join: persistent input histories + key indexes, emits new pairs.
-  kJoinDelta,
-  /// Aggregation: persistent per-group accumulators, emits the full
-  /// sorted group table (the stream turns into refresh here).
-  kAggRefresh,
-  /// Difference/Intersection: persistent bag counts per side, emits the
-  /// full current result (refresh).
-  kBagRefresh,
-  /// Once the stream is refresh: run the activity fresh on the full
-  /// rows each batch.
-  kFull,
-};
-
-struct MemberPlan {
-  MemberMode mode = MemberMode::kStateless;
+// One chain member. Stateful templates upstream of the chain's first
+// refresh output run their delta operator; every other member runs
+// Activity::Execute on what reaches it, a delta or the full rows.
+struct Member {
+  const Activity* activity = nullptr;
   std::vector<Schema> input_schemas;
-  Schema output_schema;
-  // Key-column indexes, resolved once: PK keys / join-left keys.
-  std::vector<size_t> key_idx_left;
-  // Join-right keys.
-  std::vector<size_t> key_idx_right;
-  // Join: right-schema indexes of the non-key attributes carried into
-  // the output, in right-schema order (mirrors the batch join).
-  std::vector<size_t> right_carry_idx;
-  // Aggregation.
-  std::vector<size_t> group_idx;
-  std::vector<size_t> arg_idx;
-  std::vector<AggFn> agg_fns;
-  // Bag ops: right-schema index for each output attribute (realign map).
-  std::vector<size_t> right_realign_idx;
-  // Bag ops: keep matched rows (intersection) or unmatched (difference).
-  bool keep_matched = false;
+  std::unique_ptr<DeltaOperator> op;
 };
 
-struct NodePlan {
+// One node of the incremental plan, with the state it carries across
+// batches.
+struct StreamNode {
   bool is_recordset = false;
   bool is_source = false;
   bool is_target = false;
@@ -80,339 +51,99 @@ struct NodePlan {
   /// This node emits its full output each batch (vs. a delta).
   bool refresh_output = false;
   std::vector<NodeId> providers;
-  /// recompute only: ports whose provider is delta-mode and therefore
-  /// needs an accumulated history.
+  /// recompute only: ports whose provider emits deltas and therefore
+  /// needs an accumulated history, with the history committed so far and
+  /// the rows the current batch staged.
   std::vector<bool> port_history;
-  /// Non-recompute activity nodes: one plan per chain member.
-  std::vector<MemberPlan> members;
-};
+  std::vector<std::vector<Record>> history, staged_history;
+  /// Activity nodes: their chain members.
+  std::vector<Member> members;
 
-// ---- persistent operator state and per-batch staging ---------------------
-
-struct MemberState {
-  std::set<std::vector<Value>> pk_seen;
-  std::vector<Record> left_rows, right_rows;  // join histories
-  std::map<std::vector<Value>, std::vector<size_t>> left_index, right_index;
-  std::map<std::vector<Value>, std::vector<AggAcc>> groups;
-  std::vector<Record> bag_order;  // distinct left rows, first-encounter order
-  std::map<Record, int64_t> left_counts, right_counts;
-};
-
-struct NodeState {
-  std::vector<MemberState> members;
-  std::vector<std::vector<Record>> port_history;
-};
-
-// Every mutation a batch attempt wants to make, staged so a failed (and
-// retried) attempt leaves the persistent state untouched. Overlay maps
-// hold absolute values copied-on-first-touch from the main state.
-struct MemberStaging {
-  std::set<std::vector<Value>> pk_new;
-  std::vector<Record> left_new, right_new;
-  std::vector<std::vector<Value>> left_new_keys, right_new_keys;
-  std::map<std::vector<Value>, std::vector<AggAcc>> group_overlay;
-  std::vector<Record> bag_order_new;
-  std::map<Record, int64_t> left_counts_overlay, right_counts_overlay;
-
-  void Clear() {
-    pk_new.clear();
-    left_new.clear();
-    right_new.clear();
-    left_new_keys.clear();
-    right_new_keys.clear();
-    group_overlay.clear();
-    bag_order_new.clear();
-    left_counts_overlay.clear();
-    right_counts_overlay.clear();
+  bool HasState() const {
+    if (recompute) {
+      return std::find(port_history.begin(), port_history.end(), true) !=
+             port_history.end();
+    }
+    return std::any_of(members.begin(), members.end(),
+                       [](const Member& m) { return m.op != nullptr; });
   }
-};
 
-struct NodeStaging {
-  std::vector<MemberStaging> members;
-  std::vector<std::vector<Record>> port_append;
-
-  void Clear() {
-    for (auto& m : members) m.Clear();
-    for (auto& p : port_append) p.clear();
+  void Commit() {
+    for (size_t p = 0; p < history.size(); ++p) {
+      history[p].insert(history[p].end(),
+                        std::make_move_iterator(staged_history[p].begin()),
+                        std::make_move_iterator(staged_history[p].end()));
+      staged_history[p].clear();
+    }
+    for (Member& m : members) {
+      if (m.op) m.op->Commit();
+    }
   }
-};
 
-// ---- helpers -------------------------------------------------------------
-
-std::vector<Value> ExtractKey(const Record& row,
-                              const std::vector<size_t>& idx) {
-  std::vector<Value> key;
-  key.reserve(idx.size());
-  for (size_t i : idx) key.push_back(row.value(i));
-  return key;
-}
-
-bool HasNull(const std::vector<Value>& key) {
-  return std::any_of(key.begin(), key.end(),
-                     [](const Value& v) { return v.is_null(); });
-}
-
-StatusOr<std::vector<size_t>> ResolveAttrs(
-    const Schema& schema, const std::vector<std::string>& attrs) {
-  std::vector<size_t> idx;
-  idx.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    auto i = schema.IndexOf(a);
-    if (!i.has_value()) return Status::Internal("stream: missing attr " + a);
-    idx.push_back(*i);
+  void Discard() {
+    for (auto& rows : staged_history) rows.clear();
+    for (Member& m : members) {
+      if (m.op) m.op->Discard();
+    }
   }
-  return idx;
-}
 
-// Absolute-value overlay lookup/touch for the bag counts.
-int64_t& OverlayCount(std::map<Record, int64_t>& overlay,
-                      const std::map<Record, int64_t>& main,
-                      const Record& r) {
-  auto it = overlay.find(r);
-  if (it != overlay.end()) return it->second;
-  auto base = main.find(r);
-  return overlay.emplace(r, base != main.end() ? base->second : 0)
-      .first->second;
-}
-
-int64_t CombinedCount(const std::map<Record, int64_t>& overlay,
-                      const std::map<Record, int64_t>& main,
-                      const Record& r) {
-  auto it = overlay.find(r);
-  if (it != overlay.end()) return it->second;
-  auto base = main.find(r);
-  return base != main.end() ? base->second : 0;
-}
-
-// ---- state (de)serialization ---------------------------------------------
-
-constexpr uint8_t kTagRecompute = 0xFF;
-constexpr uint8_t kTagStateless = 0;
-constexpr uint8_t kTagPk = 1;
-constexpr uint8_t kTagJoin = 2;
-constexpr uint8_t kTagAgg = 3;
-constexpr uint8_t kTagBag = 4;
-
-uint8_t TagOf(MemberMode mode) {
-  switch (mode) {
-    case MemberMode::kStateless:
-    case MemberMode::kFull:
-      return kTagStateless;
-    case MemberMode::kPkDelta:
-      return kTagPk;
-    case MemberMode::kJoinDelta:
-      return kTagJoin;
-    case MemberMode::kAggRefresh:
-      return kTagAgg;
-    case MemberMode::kBagRefresh:
-      return kTagBag;
-  }
-  return kTagStateless;
-}
-
-// Restored state must fit the schema it is restored into: a checksum
-// proves only that the bytes are the ones written.
-constexpr const char* kMisfitRow =
-    "stream checkpoint: restored row does not fit its schema";
-
-StatusOr<std::vector<Value>> ReadKey(WireReader& reader, size_t arity) {
-  ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key, ReadValues(reader));
-  if (key.size() != arity) return Status::InvalidArgument(kMisfitRow);
-  return key;
-}
-
-StatusOr<std::vector<Record>> ReadRows(WireReader& reader, size_t arity) {
-  ETLOPT_ASSIGN_OR_RETURN(std::vector<Record> rows, ReadRecords(reader));
-  if (!AllRowsHaveArity(rows, arity)) {
-    return Status::InvalidArgument(kMisfitRow);
-  }
-  return rows;
-}
-
-void PutAcc(std::string& out, const AggAcc& acc) {
-  PutDouble(out, acc.sum);
-  PutU64(out, static_cast<uint64_t>(acc.non_null));
-  PutValue(out, acc.min);
-  PutValue(out, acc.max);
-}
-
-StatusOr<AggAcc> ReadAcc(WireReader& reader) {
-  AggAcc acc;
-  ETLOPT_ASSIGN_OR_RETURN(acc.sum, reader.Double());
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t non_null, reader.U64());
-  acc.non_null = static_cast<int64_t>(non_null);
-  ETLOPT_ASSIGN_OR_RETURN(acc.min, ReadValue(reader));
-  ETLOPT_ASSIGN_OR_RETURN(acc.max, ReadValue(reader));
-  return acc;
-}
-
-void PutCounts(std::string& out, const std::map<Record, int64_t>& counts) {
-  PutU64(out, counts.size());
-  for (const auto& [r, c] : counts) {
-    PutRecord(out, r);
-    PutU64(out, static_cast<uint64_t>(c));
-  }
-}
-
-Status ReadCounts(WireReader& reader, size_t arity,
-                  std::map<Record, int64_t>* counts) {
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-  for (uint64_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
-    if (r.size() != arity) return Status::InvalidArgument(kMisfitRow);
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t c, reader.U64());
-    (*counts)[std::move(r)] = static_cast<int64_t>(c);
-  }
-  return Status::OK();
-}
-
-std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
-  std::string out;
-  if (plan.recompute) {
-    out.push_back(static_cast<char>(kTagRecompute));
-    PutU32(out, static_cast<uint32_t>(state.port_history.size()));
-    for (const auto& rows : state.port_history) PutRecords(out, rows);
+  std::string Save() const {
+    std::string out;
+    if (recompute) {
+      out.push_back(static_cast<char>(kTagRecompute));
+      PutU32(out, static_cast<uint32_t>(history.size()));
+      for (const auto& rows : history) PutRecords(out, rows);
+      return out;
+    }
+    PutU32(out, static_cast<uint32_t>(members.size()));
+    for (const Member& m : members) {
+      out.push_back(static_cast<char>(m.op ? m.op->tag() : kTagStateless));
+      if (m.op) m.op->Save(out);
+    }
     return out;
   }
-  PutU32(out, static_cast<uint32_t>(plan.members.size()));
-  for (size_t m = 0; m < plan.members.size(); ++m) {
-    const MemberState& ms = state.members[m];
-    out.push_back(static_cast<char>(TagOf(plan.members[m].mode)));
-    switch (TagOf(plan.members[m].mode)) {
-      case kTagStateless:
-        break;
-      case kTagPk:
-        PutU64(out, ms.pk_seen.size());
-        for (const auto& key : ms.pk_seen) PutValues(out, key);
-        break;
-      case kTagJoin:
-        PutRecords(out, ms.left_rows);
-        PutRecords(out, ms.right_rows);
-        break;
-      case kTagAgg:
-        PutU64(out, ms.groups.size());
-        for (const auto& [key, accs] : ms.groups) {
-          PutValues(out, key);
-          PutU32(out, static_cast<uint32_t>(accs.size()));
-          for (const AggAcc& acc : accs) PutAcc(out, acc);
-        }
-        break;
-      case kTagBag:
-        PutRecords(out, ms.bag_order);
-        PutCounts(out, ms.left_counts);
-        PutCounts(out, ms.right_counts);
-        break;
-    }
-  }
-  return out;
-}
 
-// Rebuilds a join index from a restored row history. Stored rows all
-// have non-null keys (null-key rows never join and are never stored),
-// and ReadRows has checked that every row fits the input schema.
-void RebuildJoinIndex(
-    const std::vector<Record>& rows, const std::vector<size_t>& key_idx,
-    std::map<std::vector<Value>, std::vector<size_t>>* index) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    (*index)[ExtractKey(rows[i], key_idx)].push_back(i);
-  }
-}
-
-// `port_schemas` are the node's input schemas, which its port histories
-// must fit.
-Status ParseNodeState(const NodePlan& plan,
-                      const std::vector<Schema>& port_schemas,
-                      std::string_view blob, NodeState* state) {
-  WireReader reader(blob);
-  if (plan.recompute) {
-    ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-    if (tag != kTagRecompute) {
-      return Status::InvalidArgument("stream checkpoint: state tag mismatch");
-    }
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t ports, reader.U32());
-    if (ports != state->port_history.size()) {
-      return Status::InvalidArgument(
-          "stream checkpoint: port count mismatch");
-    }
-    for (uint32_t p = 0; p < ports; ++p) {
-      ETLOPT_ASSIGN_OR_RETURN(state->port_history[p],
-                              ReadRows(reader, port_schemas[p].size()));
-    }
-  } else {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t members, reader.U32());
-    if (members != plan.members.size()) {
-      return Status::InvalidArgument(
-          "stream checkpoint: member count mismatch");
-    }
-    for (uint32_t m = 0; m < members; ++m) {
-      const MemberPlan& mp = plan.members[m];
-      MemberState& ms = state->members[m];
+  // Stages the state Save wrote, for Commit or Discard.
+  Status Restore(std::string_view blob) {
+    WireReader reader(blob);
+    if (recompute) {
       ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-      if (tag != TagOf(mp.mode)) {
-        return Status::InvalidArgument(
-            "stream checkpoint: state tag mismatch");
+      if (tag != kTagRecompute) {
+        return Status::InvalidArgument("stream checkpoint: state tag mismatch");
       }
-      switch (tag) {
-        case kTagStateless:
-          break;
-        case kTagPk: {
-          ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-          for (uint64_t i = 0; i < n; ++i) {
-            ETLOPT_ASSIGN_OR_RETURN(
-                std::vector<Value> key,
-                ReadKey(reader, mp.key_idx_left.size()));
-            ms.pk_seen.insert(std::move(key));
-          }
-          break;
+      ETLOPT_ASSIGN_OR_RETURN(uint32_t ports, reader.U32());
+      if (ports != history.size()) {
+        return Status::InvalidArgument(
+            "stream checkpoint: port count mismatch");
+      }
+      // Port histories fit the node's input schemas, which are its first
+      // member's.
+      for (uint32_t p = 0; p < ports; ++p) {
+        ETLOPT_ASSIGN_OR_RETURN(
+            staged_history[p],
+            ReadStateRows(reader, members[0].input_schemas[p].size()));
+      }
+    } else {
+      ETLOPT_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
+      if (count != members.size()) {
+        return Status::InvalidArgument(
+            "stream checkpoint: member count mismatch");
+      }
+      for (Member& m : members) {
+        ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
+        if (tag != (m.op ? m.op->tag() : kTagStateless)) {
+          return Status::InvalidArgument(
+              "stream checkpoint: state tag mismatch");
         }
-        case kTagJoin: {
-          ETLOPT_ASSIGN_OR_RETURN(
-              ms.left_rows, ReadRows(reader, mp.input_schemas[0].size()));
-          ETLOPT_ASSIGN_OR_RETURN(
-              ms.right_rows, ReadRows(reader, mp.input_schemas[1].size()));
-          RebuildJoinIndex(ms.left_rows, mp.key_idx_left, &ms.left_index);
-          RebuildJoinIndex(ms.right_rows, mp.key_idx_right, &ms.right_index);
-          break;
-        }
-        case kTagAgg: {
-          ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-          for (uint64_t i = 0; i < n; ++i) {
-            ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                    ReadKey(reader, mp.group_idx.size()));
-            ETLOPT_ASSIGN_OR_RETURN(uint32_t accs, reader.U32());
-            if (accs != mp.agg_fns.size()) {
-              return Status::InvalidArgument(
-                  "stream checkpoint: accumulator count mismatch");
-            }
-            std::vector<AggAcc> vec;
-            vec.reserve(accs);
-            for (uint32_t a = 0; a < accs; ++a) {
-              ETLOPT_ASSIGN_OR_RETURN(AggAcc acc, ReadAcc(reader));
-              vec.push_back(std::move(acc));
-            }
-            ms.groups.emplace(std::move(key), std::move(vec));
-          }
-          break;
-        }
-        case kTagBag: {
-          const size_t left_arity = mp.input_schemas[0].size();
-          ETLOPT_ASSIGN_OR_RETURN(ms.bag_order, ReadRows(reader, left_arity));
-          ETLOPT_RETURN_NOT_OK(
-              ReadCounts(reader, left_arity, &ms.left_counts));
-          ETLOPT_RETURN_NOT_OK(ReadCounts(
-              reader, mp.right_realign_idx.size(), &ms.right_counts));
-          break;
-        }
-        default:
-          return Status::InvalidArgument("stream checkpoint: bad state tag");
+        if (m.op) ETLOPT_RETURN_NOT_OK(m.op->Restore(reader));
       }
     }
+    if (!reader.AtEnd()) {
+      return Status::InvalidArgument("stream checkpoint: trailing state");
+    }
+    return Status::OK();
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("stream checkpoint: trailing state");
-  }
-  return Status::OK();
-}
+};
 
 // ---- the per-run driver --------------------------------------------------
 
@@ -426,77 +157,39 @@ class StreamRun {
         context_(context),
         checkpoint_path_(std::move(checkpoint_path)),
         checkpoint_every_(checkpoint_every),
-        rng_(options.retry_seed) {}
+        rng_(kRetrySeed) {}
 
   Status BuildPlan(StreamStats* stats) {
     for (NodeId id : workflow_.TopoOrder()) {
-      NodePlan plan;
-      plan.providers = workflow_.Providers(id);
+      StreamNode node;
+      node.providers = workflow_.Providers(id);
       if (workflow_.IsRecordSet(id)) {
-        plan.is_recordset = true;
-        plan.is_source = plan.providers.empty();
-        plan.is_target =
-            !plan.is_source && workflow_.Consumers(id).empty();
-        plan.refresh_output =
-            !plan.is_source &&
-            plans_.at(plan.providers[0]).refresh_output;
+        node.is_recordset = true;
+        node.is_source = node.providers.empty();
+        node.is_target = !node.is_source && workflow_.Consumers(id).empty();
+        node.refresh_output =
+            !node.is_source && nodes_.at(node.providers[0]).refresh_output;
       } else {
-        bool any_refresh_input = false;
-        for (NodeId p : plan.providers) {
-          any_refresh_input |= plans_.at(p).refresh_output;
+        for (NodeId p : node.providers) {
+          node.recompute |= nodes_.at(p).refresh_output;
         }
-        if (any_refresh_input) {
-          plan.recompute = true;
-          plan.refresh_output = true;
-          plan.port_history.resize(plan.providers.size());
-          for (size_t i = 0; i < plan.providers.size(); ++i) {
-            plan.port_history[i] =
-                !plans_.at(plan.providers[i]).refresh_output;
+        if (node.recompute) {
+          for (NodeId p : node.providers) {
+            node.port_history.push_back(!nodes_.at(p).refresh_output);
           }
-        } else {
-          ETLOPT_RETURN_NOT_OK(PlanMembers(id, &plan));
+          node.history.resize(node.providers.size());
+          node.staged_history.resize(node.providers.size());
         }
-        if (plan.refresh_output) {
+        ETLOPT_RETURN_NOT_OK(PlanMembers(id, &node));
+        if (node.refresh_output) {
           ++stats->refresh_nodes;
         } else {
           ++stats->delta_nodes;
         }
       }
-      plans_.emplace(id, std::move(plan));
-    }
-    // Allocate persistent state and per-batch staging.
-    for (const auto& [id, plan] : plans_) {
-      NodeState state;
-      NodeStaging staging;
-      state.members.resize(plan.members.size());
-      staging.members.resize(plan.members.size());
-      state.port_history.resize(plan.port_history.size());
-      staging.port_append.resize(plan.port_history.size());
-      states_.emplace(id, std::move(state));
-      staging_.emplace(id, std::move(staging));
-    }
-    if (options_.engine == StreamEngine::kParallel) {
-      BuildLevels();
-      pool_ = std::make_unique<ThreadPool>(
-          options_.num_threads != 0 ? options_.num_threads
-                                    : ThreadPool::DefaultThreads());
+      nodes_.emplace(id, std::move(node));
     }
     return Status::OK();
-  }
-
-  bool NodeHasState(NodeId id) const {
-    const NodePlan& plan = plans_.at(id);
-    if (plan.recompute) {
-      return std::any_of(plan.port_history.begin(), plan.port_history.end(),
-                         [](bool h) { return h; });
-    }
-    for (const MemberPlan& mp : plan.members) {
-      if (mp.mode != MemberMode::kStateless &&
-          mp.mode != MemberMode::kFull) {
-        return true;
-      }
-    }
-    return false;
   }
 
   /// Tries to restore from the run's checkpoint. Returns the batch
@@ -536,8 +229,8 @@ class StreamRun {
     // Every restored target must be one of this workflow's, with rows
     // that fit its schema.
     size_t targets_matched = 0;
-    for (const auto& [id, plan] : plans_) {
-      if (!plan.is_target) continue;
+    for (const auto& [id, node] : nodes_) {
+      if (!node.is_target) continue;
       const RecordSetDef& def = workflow_.recordset(id);
       auto rows = checkpoint->target_data.find(def.name);
       if (rows == checkpoint->target_data.end()) continue;
@@ -548,22 +241,15 @@ class StreamRun {
     // Restore operator state all-or-nothing: a missing or malformed
     // blob rejects the whole checkpoint rather than resuming half the
     // state.
-    std::map<NodeId, NodeState> restored;
-    for (const auto& [id, plan] : plans_) {
-      if (!NodeHasState(id)) continue;
+    bool restored = true;
+    for (auto& [id, node] : nodes_) {
+      if (!restored || !node.HasState()) continue;
       auto blob = checkpoint->state_blobs.find("n" + std::to_string(id));
-      if (blob == checkpoint->state_blobs.end()) return reject();
-      NodeState state;
-      state.members.resize(plan.members.size());
-      state.port_history.resize(plan.port_history.size());
-      if (!ParseNodeState(plan, workflow_.InputSchemas(id), blob->second,
-                          &state)
-               .ok()) {
-        return reject();
-      }
-      restored.emplace(id, std::move(state));
+      restored = blob != checkpoint->state_blobs.end() &&
+                 node.Restore(blob->second).ok();
     }
-    for (auto& [id, state] : restored) states_[id] = std::move(state);
+    for (auto& [id, node] : nodes_) restored ? node.Commit() : node.Discard();
+    if (!restored) return reject();
     result->rows_out = std::move(checkpoint->rows_out);
     result->target_data = std::move(checkpoint->target_data);
     stats->resumed = true;
@@ -576,22 +262,10 @@ class StreamRun {
     auto attempt = [&]() -> Status {
       ETLOPT_RETURN_NOT_OK(source.Seek(b));
       ETLOPT_ASSIGN_OR_RETURN(MicroBatch batch, source.Next());
-      for (auto& [id, staging] : staging_) staging.Clear();
+      for (auto& [id, node] : nodes_) node.Discard();
       flows_.clear();
       for (NodeId id : workflow_.TopoOrder()) {
-        flows_.emplace(id, std::vector<Record>{});
-      }
-      if (options_.engine == StreamEngine::kParallel) {
-        for (const auto& level : levels_) {
-          ETLOPT_RETURN_NOT_OK(pool_->ParallelFor(
-              level.size(), [&](size_t item, size_t /*worker*/) {
-                return ExecuteNode(level[item], batch);
-              }));
-        }
-        return Status::OK();
-      }
-      for (NodeId id : workflow_.TopoOrder()) {
-        ETLOPT_RETURN_NOT_OK(ExecuteNode(id, batch));
+        ETLOPT_ASSIGN_OR_RETURN(flows_[id], ExecuteNode(id, batch));
       }
       return Status::OK();
     };
@@ -606,9 +280,8 @@ class StreamRun {
   Status MaybeCheckpoint(uint64_t next_batch, uint64_t batch_count,
                          uint64_t workflow_hash, uint64_t fingerprint,
                          const ExecutionResult& result, StreamStats* stats) {
-    if (checkpoint_path_.empty()) return Status::OK();
-    const bool is_last = next_batch == batch_count;
-    if (!is_last && next_batch % checkpoint_every_ != 0) {
+    if (checkpoint_path_.empty() ||
+        (next_batch != batch_count && next_batch % checkpoint_every_ != 0)) {
       return Status::OK();
     }
     StreamCheckpoint checkpoint;
@@ -618,10 +291,9 @@ class StreamRun {
     checkpoint.batch_count = batch_count;
     checkpoint.rows_out = result.rows_out;
     checkpoint.target_data = result.target_data;
-    for (const auto& [id, plan] : plans_) {
-      if (!NodeHasState(id)) continue;
-      checkpoint.state_blobs["n" + std::to_string(id)] =
-          SerializeNodeState(plan, states_.at(id));
+    for (const auto& [id, node] : nodes_) {
+      if (!node.HasState()) continue;
+      checkpoint.state_blobs["n" + std::to_string(id)] = node.Save();
     }
     const std::string bytes = SerializeStreamCheckpoint(checkpoint);
     auto write_attempt = [&]() -> Status {
@@ -652,370 +324,89 @@ class StreamRun {
   }
 
  private:
-  Status PlanMembers(NodeId id, NodePlan* plan) {
-    const ActivityChain& chain = workflow_.chain(id);
-    std::vector<Schema> cur_inputs = workflow_.InputSchemas(id);
-    bool refresh = false;
-    for (const auto& member : chain.members()) {
-      const Activity& a = member.activity;
-      MemberPlan mp;
-      mp.input_schemas = cur_inputs;
-      ETLOPT_ASSIGN_OR_RETURN(mp.output_schema,
-                              a.ComputeOutputSchema(cur_inputs));
-      if (refresh) {
-        mp.mode = MemberMode::kFull;
-      } else {
-        switch (a.kind()) {
-          case ActivityKind::kPrimaryKeyCheck: {
-            mp.mode = MemberMode::kPkDelta;
-            const auto& p = a.params_as<PrimaryKeyParams>();
-            ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_left, ResolveAttrs(cur_inputs[0], p.key_attrs));
-            break;
-          }
-          case ActivityKind::kJoin: {
-            mp.mode = MemberMode::kJoinDelta;
-            const auto& p = a.params_as<JoinParams>();
-            ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_left, ResolveAttrs(cur_inputs[0], p.key_attrs));
-            ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_right, ResolveAttrs(cur_inputs[1], p.key_attrs));
-            for (size_t i = 0; i < cur_inputs[1].size(); ++i) {
-              const std::string& name = cur_inputs[1].attribute(i).name;
-              if (std::find(p.key_attrs.begin(), p.key_attrs.end(), name) ==
-                  p.key_attrs.end()) {
-                mp.right_carry_idx.push_back(i);
-              }
-            }
-            break;
-          }
-          case ActivityKind::kAggregation: {
-            mp.mode = MemberMode::kAggRefresh;
-            const auto& p = a.params_as<AggregationParams>();
-            ETLOPT_ASSIGN_OR_RETURN(
-                mp.group_idx, ResolveAttrs(cur_inputs[0], p.group_by));
-            for (const auto& spec : p.aggregates) {
-              auto i = cur_inputs[0].IndexOf(spec.arg);
-              if (!i.has_value()) {
-                return Status::Internal("stream: missing agg arg " +
-                                        spec.arg);
-              }
-              mp.arg_idx.push_back(*i);
-              mp.agg_fns.push_back(spec.fn);
-            }
-            refresh = true;
-            break;
-          }
-          case ActivityKind::kDifference:
-          case ActivityKind::kIntersection: {
-            mp.mode = MemberMode::kBagRefresh;
-            mp.keep_matched = a.kind() == ActivityKind::kIntersection;
-            for (const auto& attr : mp.output_schema.attributes()) {
-              auto i = cur_inputs[1].IndexOf(attr.name);
-              if (!i.has_value()) {
-                return Status::Internal("stream: bag realign missing " +
-                                        attr.name);
-              }
-              mp.right_realign_idx.push_back(*i);
-            }
-            refresh = true;
-            break;
-          }
-          default:
-            mp.mode = MemberMode::kStateless;
-            break;
-        }
+  // Gives each chain member its input schemas and, up to the chain's
+  // first refresh output, the delta operator of its template. Members of
+  // a recompute node see full inputs, so none gets an operator.
+  Status PlanMembers(NodeId id, StreamNode* node) {
+    std::vector<Schema> inputs = workflow_.InputSchemas(id);
+    bool refresh = node->recompute;
+    for (const auto& chain_member : workflow_.chain(id).members()) {
+      Member m;
+      m.activity = &chain_member.activity;
+      m.input_schemas = inputs;
+      if (!refresh) {
+        ETLOPT_ASSIGN_OR_RETURN(m.op,
+                                MakeDeltaOperator(*m.activity, inputs));
+        refresh = m.op != nullptr && m.op->refresh();
       }
-      cur_inputs = {mp.output_schema};
-      plan->members.push_back(std::move(mp));
+      ETLOPT_ASSIGN_OR_RETURN(Schema output,
+                              m.activity->ComputeOutputSchema(inputs));
+      inputs = {std::move(output)};
+      node->members.push_back(std::move(m));
     }
-    plan->refresh_output = refresh;
+    node->refresh_output = refresh;
     return Status::OK();
   }
 
-  void BuildLevels() {
-    std::map<NodeId, size_t> level;
-    for (NodeId id : workflow_.TopoOrder()) {
-      size_t l = 0;
-      for (NodeId p : workflow_.Providers(id)) {
-        l = std::max(l, level.at(p) + 1);
-      }
-      level[id] = l;
-      if (levels_.size() <= l) levels_.resize(l + 1);
-      levels_[l].push_back(id);
-    }
-  }
-
-  Status ExecuteNode(NodeId id, const MicroBatch& batch) {
-    const NodePlan& plan = plans_.at(id);
-    auto flow = flows_.find(id);
-    if (plan.is_recordset) {
+  StatusOr<std::vector<Record>> ExecuteNode(NodeId id,
+                                            const MicroBatch& batch) {
+    StreamNode& node = nodes_.at(id);
+    if (node.is_recordset) {
       const RecordSetDef& def = workflow_.recordset(id);
-      if (plan.is_source) {
-        auto it = batch.source_rows.find(def.name);
-        if (it == batch.source_rows.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        flow->second = it->second;
-        return Status::OK();
+      if (node.is_source) {
+        ETLOPT_ASSIGN_OR_RETURN(const std::vector<Record>* rows,
+                                BoundSourceRows(def, batch.source_rows));
+        return *rows;
       }
-      NodeId provider = plan.providers[0];
-      ETLOPT_ASSIGN_OR_RETURN(
-          flow->second,
-          RealignRecords(flows_.at(provider),
-                         workflow_.OutputSchema(provider), def.schema));
-      return Status::OK();
+      const NodeId provider = node.providers[0];
+      return RealignRecords(flows_.at(provider),
+                            workflow_.OutputSchema(provider), def.schema);
     }
 
     ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-    NodeState& state = states_.at(id);
-    NodeStaging& staging = staging_.at(id);
-
-    if (plan.recompute) {
-      std::vector<std::vector<Record>> full_inputs;
-      full_inputs.reserve(plan.providers.size());
-      for (size_t i = 0; i < plan.providers.size(); ++i) {
-        const std::vector<Record>& in = flows_.at(plan.providers[i]);
-        if (plan.port_history[i]) {
-          staging.port_append[i] = in;
-          std::vector<Record> full = state.port_history[i];
-          full.insert(full.end(), in.begin(), in.end());
-          full_inputs.push_back(std::move(full));
-        } else {
-          full_inputs.push_back(in);
-        }
+    std::vector<std::vector<Record>> rows;
+    rows.reserve(node.providers.size());
+    for (size_t i = 0; i < node.providers.size(); ++i) {
+      const std::vector<Record>& delta = flows_.at(node.providers[i]);
+      if (node.recompute && node.port_history[i]) {
+        node.staged_history[i] = delta;
+        std::vector<Record> full = node.history[i];
+        full.insert(full.end(), delta.begin(), delta.end());
+        rows.push_back(std::move(full));
+      } else {
+        rows.push_back(delta);
       }
-      auto produced = workflow_.chain(id).Execute(workflow_.InputSchemas(id),
-                                                  full_inputs, context_);
+    }
+    for (Member& m : node.members) {
+      StatusOr<std::vector<Record>> produced =
+          m.op ? m.op->Apply(rows)
+               : m.activity->Execute(m.input_schemas, rows, context_);
       if (!produced.ok()) {
         return produced.status().WithContext(
             StrFormat("executing node %d ('%s')", id,
                       workflow_.chain(id).label().c_str()));
       }
-      flow->second = std::move(produced).value();
-      return Status::OK();
+      rows.clear();
+      rows.push_back(std::move(produced).value());
     }
-
-    std::vector<std::vector<Record>> cur;
-    cur.reserve(plan.providers.size());
-    for (NodeId p : plan.providers) cur.push_back(flows_.at(p));
-    for (size_t m = 0; m < plan.members.size(); ++m) {
-      auto produced =
-          ExecuteMember(plan.members[m],
-                        workflow_.chain(id).members()[m].activity,
-                        state.members[m], staging.members[m], cur);
-      if (!produced.ok()) {
-        return produced.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      workflow_.chain(id).label().c_str()));
-      }
-      cur.clear();
-      cur.push_back(std::move(produced).value());
-    }
-    flow->second = std::move(cur[0]);
-    return Status::OK();
+    return std::move(rows[0]);
   }
 
-  StatusOr<std::vector<Record>> ExecuteMember(
-      const MemberPlan& mp, const Activity& activity, MemberState& ms,
-      MemberStaging& mstg, const std::vector<std::vector<Record>>& inputs) {
-    std::vector<Record> out;
-    switch (mp.mode) {
-      case MemberMode::kStateless:
-      case MemberMode::kFull:
-        return activity.Execute(mp.input_schemas, inputs, context_);
-
-      case MemberMode::kPkDelta: {
-        for (const Record& r : inputs[0]) {
-          std::vector<Value> key = ExtractKey(r, mp.key_idx_left);
-          if (ms.pk_seen.count(key) != 0 || mstg.pk_new.count(key) != 0) {
-            continue;
-          }
-          mstg.pk_new.insert(std::move(key));
-          out.push_back(r);
-        }
-        return out;
-      }
-
-      case MemberMode::kJoinDelta: {
-        const std::vector<Record>& delta_left = inputs[0];
-        const std::vector<Record>& delta_right = inputs[1];
-        // Stage this batch's joinable rows (null keys never join and
-        // are never stored).
-        std::map<std::vector<Value>, std::vector<size_t>> staged_right;
-        for (const Record& r : delta_right) {
-          std::vector<Value> key = ExtractKey(r, mp.key_idx_right);
-          if (HasNull(key)) continue;
-          staged_right[key].push_back(mstg.right_new.size());
-          mstg.right_new.push_back(r);
-          mstg.right_new_keys.push_back(std::move(key));
-        }
-        auto combine = [&](const Record& l, const Record& r) {
-          Record nr = l;
-          for (size_t i : mp.right_carry_idx) nr.Append(r.value(i));
-          out.push_back(std::move(nr));
-        };
-        // New pairs, each exactly once:
-        //   (delta-left x old-right), (delta-left x delta-right),
-        //   (old-left x delta-right).
-        for (const Record& l : delta_left) {
-          std::vector<Value> key = ExtractKey(l, mp.key_idx_left);
-          if (HasNull(key)) continue;
-          auto old_hit = ms.right_index.find(key);
-          if (old_hit != ms.right_index.end()) {
-            for (size_t i : old_hit->second) combine(l, ms.right_rows[i]);
-          }
-          auto new_hit = staged_right.find(key);
-          if (new_hit != staged_right.end()) {
-            for (size_t i : new_hit->second) combine(l, mstg.right_new[i]);
-          }
-          mstg.left_new.push_back(l);
-          mstg.left_new_keys.push_back(std::move(key));
-        }
-        for (const Record& r : delta_right) {
-          std::vector<Value> key = ExtractKey(r, mp.key_idx_right);
-          if (HasNull(key)) continue;
-          auto old_hit = ms.left_index.find(key);
-          if (old_hit != ms.left_index.end()) {
-            for (size_t i : old_hit->second) combine(ms.left_rows[i], r);
-          }
-        }
-        return out;
-      }
-
-      case MemberMode::kAggRefresh: {
-        for (const Record& r : inputs[0]) {
-          std::vector<Value> key = ExtractKey(r, mp.group_idx);
-          auto it = mstg.group_overlay.find(key);
-          if (it == mstg.group_overlay.end()) {
-            auto base = ms.groups.find(key);
-            it = mstg.group_overlay
-                     .emplace(std::move(key),
-                              base != ms.groups.end()
-                                  ? base->second
-                                  : std::vector<AggAcc>(mp.agg_fns.size()))
-                     .first;
-          }
-          for (size_t i = 0; i < mp.arg_idx.size(); ++i) {
-            it->second[i].Add(r.value(mp.arg_idx[i]));
-          }
-        }
-        // Full refresh in sorted key order: merge the persistent map
-        // with this batch's overlay (overlay wins) — exactly the table
-        // the batch engine would emit over the whole prefix.
-        auto emit = [&](const std::vector<Value>& key,
-                        const std::vector<AggAcc>& accs) {
-          Record nr;
-          for (const Value& k : key) nr.Append(k);
-          for (size_t i = 0; i < mp.agg_fns.size(); ++i) {
-            nr.Append(accs[i].Result(mp.agg_fns[i]));
-          }
-          out.push_back(std::move(nr));
-        };
-        auto main_it = ms.groups.begin();
-        auto over_it = mstg.group_overlay.begin();
-        while (main_it != ms.groups.end() ||
-               over_it != mstg.group_overlay.end()) {
-          if (over_it == mstg.group_overlay.end() ||
-              (main_it != ms.groups.end() &&
-               main_it->first < over_it->first)) {
-            emit(main_it->first, main_it->second);
-            ++main_it;
-          } else {
-            if (main_it != ms.groups.end() &&
-                main_it->first == over_it->first) {
-              ++main_it;  // overlay shadows the stale persistent entry
-            }
-            emit(over_it->first, over_it->second);
-            ++over_it;
-          }
-        }
-        return out;
-      }
-
-      case MemberMode::kBagRefresh: {
-        for (const Record& r : inputs[1]) {
-          Record nr;
-          for (size_t i : mp.right_realign_idx) nr.Append(r.value(i));
-          ++OverlayCount(mstg.right_counts_overlay, ms.right_counts, nr);
-        }
-        for (const Record& l : inputs[0]) {
-          int64_t& c =
-              OverlayCount(mstg.left_counts_overlay, ms.left_counts, l);
-          if (c == 0) mstg.bag_order_new.push_back(l);
-          ++c;
-        }
-        // Full refresh: (cl - cr)+ copies for difference, min(cl, cr)
-        // for intersection, distinct left rows in first-encounter order.
-        auto emit_counts = [&](const Record& r) {
-          const int64_t cl =
-              CombinedCount(mstg.left_counts_overlay, ms.left_counts, r);
-          const int64_t cr =
-              CombinedCount(mstg.right_counts_overlay, ms.right_counts, r);
-          const int64_t n = mp.keep_matched ? std::min(cl, cr)
-                                            : std::max<int64_t>(cl - cr, 0);
-          for (int64_t i = 0; i < n; ++i) out.push_back(r);
-        };
-        for (const Record& r : ms.bag_order) emit_counts(r);
-        for (const Record& r : mstg.bag_order_new) emit_counts(r);
-        return out;
-      }
-    }
-    return Status::Internal("unhandled stream member mode");
-  }
-
+  // Commits staged state and folds the batch's outputs into the result.
   void Commit(ExecutionResult* result) {
-    for (auto& [id, staging] : staging_) {
-      NodeState& state = states_.at(id);
-      for (size_t p = 0; p < staging.port_append.size(); ++p) {
-        auto& history = state.port_history[p];
-        auto& append = staging.port_append[p];
-        history.insert(history.end(),
-                       std::make_move_iterator(append.begin()),
-                       std::make_move_iterator(append.end()));
-      }
-      for (size_t m = 0; m < staging.members.size(); ++m) {
-        MemberState& ms = state.members[m];
-        MemberStaging& mstg = staging.members[m];
-        ms.pk_seen.insert(std::make_move_iterator(mstg.pk_new.begin()),
-                          std::make_move_iterator(mstg.pk_new.end()));
-        for (size_t i = 0; i < mstg.left_new.size(); ++i) {
-          ms.left_index[std::move(mstg.left_new_keys[i])].push_back(
-              ms.left_rows.size());
-          ms.left_rows.push_back(std::move(mstg.left_new[i]));
-        }
-        for (size_t i = 0; i < mstg.right_new.size(); ++i) {
-          ms.right_index[std::move(mstg.right_new_keys[i])].push_back(
-              ms.right_rows.size());
-          ms.right_rows.push_back(std::move(mstg.right_new[i]));
-        }
-        for (auto& [key, accs] : mstg.group_overlay) {
-          ms.groups[key] = std::move(accs);
-        }
-        for (auto& [r, c] : mstg.left_counts_overlay) ms.left_counts[r] = c;
-        for (auto& [r, c] : mstg.right_counts_overlay) {
-          ms.right_counts[r] = c;
-        }
-        ms.bag_order.insert(ms.bag_order.end(),
-                            std::make_move_iterator(mstg.bag_order_new.begin()),
-                            std::make_move_iterator(mstg.bag_order_new.end()));
-      }
-      staging.Clear();
-    }
-    // Fold this batch's node outputs into the accumulated result.
-    for (const auto& [id, plan] : plans_) {
+    for (auto& [id, node] : nodes_) {
+      node.Commit();
       const std::vector<Record>& rows = flows_.at(id);
-      if (!plan.is_recordset) {
-        if (plan.refresh_output) {
+      if (!node.is_recordset) {
+        if (node.refresh_output) {
           result->rows_out[id] = rows.size();
         } else {
           result->rows_out[id] += rows.size();
         }
-      } else if (plan.is_target) {
+      } else if (node.is_target) {
         const std::string& name = workflow_.recordset(id).name;
         std::vector<Record>& target = result->target_data[name];
-        if (plan.refresh_output) {
+        if (node.refresh_output) {
           target = rows;
         } else {
           target.insert(target.end(), rows.begin(), rows.end());
@@ -1030,12 +421,9 @@ class StreamRun {
   const std::string checkpoint_path_;
   const uint64_t checkpoint_every_;
   Rng rng_;
-  std::map<NodeId, NodePlan> plans_;
-  std::map<NodeId, NodeState> states_;
-  std::map<NodeId, NodeStaging> staging_;
+  std::map<NodeId, StreamNode> nodes_;
+  // Each node's output for the batch in flight.
   std::map<NodeId, std::vector<Record>> flows_;
-  std::vector<std::vector<NodeId>> levels_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
@@ -1060,8 +448,10 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
     return Status::FailedPrecondition(
         "workflow must pass Refresh() before streaming");
   }
-  StreamStats stats;
-  if (stats_out != nullptr) *stats_out = stats;
+  // Stats are published as they accrue, so every return reports them.
+  StreamStats local_stats;
+  StreamStats& stats = stats_out != nullptr ? *stats_out : local_stats;
+  stats = StreamStats{};
   ETLOPT_ASSIGN_OR_RETURN(MicroBatchSource source,
                           MicroBatchSource::Make(workflow, capture, options_));
   const uint64_t workflow_hash = workflow.SignatureHash();
@@ -1080,20 +470,12 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
   ETLOPT_RETURN_NOT_OK(run.BuildPlan(&stats));
 
   ExecutionResult result;
-  auto resume = run.TryResume(source, workflow_hash, &result, &stats);
-  if (!resume.ok()) {
-    if (stats_out != nullptr) *stats_out = stats;
-    return resume.status();
-  }
-
-  for (uint64_t b = *resume; b < source.batch_count(); ++b) {
+  ETLOPT_ASSIGN_OR_RETURN(
+      uint64_t frontier, run.TryResume(source, workflow_hash, &result, &stats));
+  for (uint64_t b = frontier; b < source.batch_count(); ++b) {
     const SteadyClock::time_point start = SteadyClock::now();
-    Status status = run.RunBatch(static_cast<size_t>(b), source, &result,
-                                 &stats);
-    if (!status.ok()) {
-      if (stats_out != nullptr) *stats_out = stats;
-      return status;
-    }
+    ETLOPT_RETURN_NOT_OK(
+        run.RunBatch(static_cast<size_t>(b), source, &result, &stats));
     ++stats.batches_run;
     Status checkpointed = run.MaybeCheckpoint(
         b + 1, source.batch_count(), workflow_hash, fingerprint, result,
@@ -1102,10 +484,7 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
         std::chrono::duration_cast<std::chrono::microseconds>(
             SteadyClock::now() - start)
             .count());
-    if (!checkpointed.ok()) {
-      if (stats_out != nullptr) *stats_out = stats;
-      return checkpointed;
-    }
+    ETLOPT_RETURN_NOT_OK(checkpointed);
   }
 
   if (!checkpoint_path.empty()) {
@@ -1123,7 +502,6 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
                  StartsWith(name, "stream_") && EndsWith(name, ".ckpt");
         });
   }
-  if (stats_out != nullptr) *stats_out = stats;
   return result;
 }
 

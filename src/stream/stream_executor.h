@@ -1,34 +1,25 @@
 // StreamExecutor: drives a workflow over a MicroBatchSource with delta
-// propagation and exactly-once restart semantics (ISSUE 6 tentpole).
+// propagation and exactly-once restart semantics.
 //
-// Per-node incremental modes, assigned by a static pass over the graph:
-//  * stateless activities (Selection/NotNull/DomainCheck/Projection/
-//    Function/SurrogateKey/Union) process only each batch's delta;
-//  * PrimaryKeyCheck keeps a persistent seen-key set and emits only
-//    first occurrences (delta in, delta out);
-//  * Join keeps both input histories and per-key indexes, emitting
-//    exactly the new pairs each batch (delta in, delta out);
-//  * Aggregation keeps persistent per-group accumulators (the same
-//    AggAcc as the batch engine) and re-emits the full sorted group
-//    table each batch (delta in, refresh out);
-//  * Difference/Intersection keep bag counts per side (delta in,
-//    refresh out);
-//  * any node downstream of a refresh output recomputes from scratch
-//    each batch over the full stream so far (delta-side inputs are
-//    accumulated into per-port histories).
+// It plans each node once. Up to a chain's first refresh output, a
+// stateful member runs its template's delta operator (delta_operators.h)
+// and every other member runs its activity on the batch's delta. A node
+// with a refresh input reruns its chain each batch over the full stream
+// so far, accumulating what its delta-mode inputs deliver in per-port
+// histories.
 //
 // The final result is byte-identical — as a multiset per target, with
 // exactly equal rows_out — to one-shot ExecuteWorkflow over the whole
 // capture (see DESIGN.md for the two documented order caveats).
 //
-// Each batch is transactional: the attempt stages every state mutation
-// in per-batch overlays and commits only on success, so transient
+// Each batch is transactional: operators and port histories stage every
+// change and commit only when the whole batch succeeds, so transient
 // faults retry the batch against unmodified state. With a
 // checkpoint_dir set, the committed frontier (plus all operator state
-// and accumulated targets) is persisted after every batch in an
-// ETLSTRM1 file keyed on workflow signature x capture fingerprint; a
-// crashed run resumes at the frontier and applies every batch to the
-// persistent state exactly once.
+// and accumulated targets) is persisted every checkpoint_every_batches
+// batches in an ETLSTRM1 file keyed on workflow signature x capture
+// fingerprint; a crashed run resumes at the frontier and applies every
+// batch to the persistent state exactly once.
 
 #ifndef ETLOPT_STREAM_STREAM_EXECUTOR_H_
 #define ETLOPT_STREAM_STREAM_EXECUTOR_H_

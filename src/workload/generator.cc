@@ -12,6 +12,13 @@ namespace etlopt {
 
 namespace {
 
+// Source cardinalities are drawn uniformly from this range.
+constexpr double kMinCardinality = 1000;
+constexpr double kMaxCardinality = 50000;
+// A generated event-time clock advances by a step drawn uniformly from
+// [0, kEventTimeMaxStep] per row.
+constexpr int64_t kEventTimeMaxStep = 20;
+
 // Sizing knobs per category, tuned to land in the paper's 15-70 activity
 // range (small ~15-20, medium ~40, large ~70).
 struct CategoryParams {
@@ -116,7 +123,7 @@ StatusOr<FlowResult> BuildFlow(Workflow* w, size_t flow_idx,
                                const Backbone& backbone, size_t n_filters,
                                const GeneratorOptions& options, Rng* rng) {
   double cardinality =
-      rng->UniformDouble(options.min_cardinality, options.max_cardinality);
+      rng->UniformDouble(kMinCardinality, kMaxCardinality);
   NodeId src = w->AddRecordSet({StrFormat("SRC%zu", flow_idx),
                                 SourceSchema(options.with_event_time),
                                 cardinality});
@@ -335,7 +342,7 @@ ExecutionInput GenerateInputFor(const Workflow& workflow, uint64_t seed,
             attr.name == options.event_time_column) {
           // Non-decreasing per source, so event-time windows preserve
           // the capture's row order when sliced.
-          event_clock += rng.UniformInt(0, options.event_time_max_step);
+          event_clock += rng.UniformInt(0, kEventTimeMaxStep);
           r.Append(Value::Int(event_clock));
         } else if (attr.type == DataType::kInt64) {
           r.Append(Value::Int(rng.UniformInt(1, options.key_domain)));

@@ -32,9 +32,6 @@ std::string_view WorkloadCategoryToString(WorkloadCategory c);
 struct GeneratorOptions {
   WorkloadCategory category = WorkloadCategory::kSmall;
   uint64_t seed = 1;
-  /// Source cardinalities are drawn uniformly from this range.
-  double min_cardinality = 1000;
-  double max_cardinality = 50000;
   /// When true, every source schema carries an extra int64 event-time
   /// column named `kEventTimeAttr`, so generated captures can be sliced
   /// into event-time windows by the streaming subsystem.
@@ -63,7 +60,8 @@ struct GeneratedWorkflow {
   size_t activity_count = 0;
 };
 
-/// Generates one scenario. Equal options yield equal workflows.
+/// Generates one scenario. Equal options yield equal workflows. Source
+/// cardinalities are drawn uniformly from [1000, 50000].
 StatusOr<GeneratedWorkflow> GenerateWorkflow(const GeneratorOptions& options);
 
 /// Generates `count` scenarios with seeds base_seed, base_seed+1, ...
@@ -84,10 +82,9 @@ struct InputGenOptions {
   /// draws. Sources without such an attribute are unaffected, so the
   /// default is harmless for historical workflows.
   std::string event_time_column = kEventTimeAttr;
-  /// First timestamp of every source's clock.
+  /// First timestamp of every source's clock. Each row advances the
+  /// clock by a step drawn uniformly from [0, 20].
   int64_t event_time_start = 1000000;
-  /// Per-row clock advance is drawn uniformly from [0, this].
-  int64_t event_time_max_step = 20;
 };
 
 /// Deterministic source data + surrogate-key lookups for executing a

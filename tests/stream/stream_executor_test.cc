@@ -1,6 +1,6 @@
 // StreamExecutor unit tests: streamed == one-shot on hand-built
-// workflows exercising every incremental operator mode, the serial and
-// parallel engines, and checkpoint/resume (ISSUE 6 tentpole).
+// workflows exercising every delta operator, retries and
+// checkpoint/resume.
 
 #include "stream/stream_executor.h"
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "activity/templates.h"
+#include "common/string_util.h"
 #include "engine/executor.h"
 #include "fault/fault_injector.h"
 #include "graph/workflow.h"
@@ -26,6 +27,11 @@ namespace etlopt {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Fnv1a64 of the checkpoint MidStreamResumeAcceptsEveryStateKind's crash
+// leaves behind: it holds a PK, a join, an aggregation, a recompute node
+// with port histories and a difference.
+constexpr uint64_t kEveryStateCheckpointHash = 16663684880974463687ull;
 
 std::string UniqueDir(const char* tag) {
   static int counter = 0;
@@ -255,22 +261,6 @@ TEST(StreamExecutorTest, Fig1StreamsAcrossBatchCounts) {
   }
 }
 
-TEST(StreamExecutorTest, ParallelEngineMatchesSerial) {
-  auto s = BuildFig1Scenario();
-  ASSERT_TRUE(s.ok());
-  ExecutionInput input = MakeFig1Input(/*seed=*/5, /*rows_per_source=*/100);
-  StreamOptions serial;
-  serial.num_batches = 6;
-  auto serial_result = StreamExecutor(serial).Run(s->workflow, input);
-  ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
-  StreamOptions parallel = serial;
-  parallel.engine = StreamEngine::kParallel;
-  parallel.num_threads = 4;
-  auto parallel_result = StreamExecutor(parallel).Run(s->workflow, input);
-  ASSERT_TRUE(parallel_result.ok()) << parallel_result.status().ToString();
-  ExpectExactResult(*serial_result, *parallel_result);
-}
-
 TEST(StreamExecutorTest, RejectsInvalidOptionsUpFront) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
@@ -399,13 +389,16 @@ TEST(StreamExecutorTest, ShortRowCheckpointIsRejected) {
   fs::remove_all(dir);
 }
 
-// The restore-time arity checks must accept every checkpoint the
-// executor writes itself. One workflow holds every kind of persisted
-// state: PK seen keys, join histories, aggregation groups, bag rows and
-// counts, and a recompute node's port history (the second join sits
-// downstream of the aggregation's refresh output). A crash mid-stream
-// must resume from the frontier with nothing rejected.
-TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
+// One workflow holding every kind of persisted state: PK seen keys, join
+// histories, aggregation groups, bag rows and counts, and a recompute
+// node's port history (the second join sits downstream of the
+// aggregation's refresh output).
+struct EveryStateScenario {
+  Workflow workflow;
+  ExecutionInput input;
+};
+
+void MakeEveryStateScenario(EveryStateScenario* s) {
   Schema ka = Schema::MakeOrDie(
       {{"K", DataType::kInt64}, {"A", DataType::kString}});
   // Both sides of each join differ in arity, so a check against the
@@ -422,7 +415,7 @@ TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
                                   {"D", DataType::kString},
                                   {"E", DataType::kInt64},
                                   {"F", DataType::kInt64}});
-  Workflow w;
+  Workflow& w = s->workflow;
   NodeId l = w.AddRecordSet({"L", ka, 30.0});
   NodeId r = w.AddRecordSet({"R", kbc, 30.0});
   NodeId r2 = w.AddRecordSet({"R2", kdef, 30.0});
@@ -449,17 +442,28 @@ TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
   ASSERT_TRUE(w.Connect(*minus_id, w.AddRecordSet({"T2", ka, 30.0})).ok());
   ASSERT_TRUE(w.Finalize().ok());
 
-  ExecutionInput input;
   for (int64_t i = 0; i < 30; ++i) {
-    input.source_data["L"].push_back(Row2(i % 7, "l"));
-    input.source_data["R"].push_back(
+    s->input.source_data["L"].push_back(Row2(i % 7, "l"));
+    s->input.source_data["R"].push_back(
         Record({Value::Int(i % 5), Value::String("r"), Value::Int(i)}));
-    input.source_data["R2"].push_back(Record({Value::Int(i % 4),
-                                              Value::String("s"),
-                                              Value::Int(i), Value::Int(-i)}));
-    input.source_data["L2"].push_back(Row2(i % 4, "x"));
-    input.source_data["M"].push_back(Row2(i % 6, "x"));
+    s->input.source_data["R2"].push_back(
+        Record({Value::Int(i % 4), Value::String("s"), Value::Int(i),
+                Value::Int(-i)}));
+    s->input.source_data["L2"].push_back(Row2(i % 4, "x"));
+    s->input.source_data["M"].push_back(Row2(i % 6, "x"));
   }
+}
+
+// The restore-time arity checks must accept every checkpoint the
+// executor writes itself: a crash mid-stream must resume from the
+// frontier with nothing rejected. The checkpoint's bytes are pinned, so
+// a changed operator-state encoding cannot silently turn every old
+// checkpoint into a rejected one.
+TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
+  EveryStateScenario s;
+  ASSERT_NO_FATAL_FAILURE(MakeEveryStateScenario(&s));
+  const Workflow& w = s.workflow;
+  const ExecutionInput& input = s.input;
   auto baseline = ExecuteWorkflow(w, input);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -482,6 +486,16 @@ TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
     ASSERT_TRUE(IsInjectedCrash(crashed.status()))
         << crashed.status().ToString();
   }
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  std::ifstream in(files[0], std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(Fnv1a64(bytes.str()), kEveryStateCheckpointHash);
+
   StreamStats stats;
   auto resumed = exec.Run(w, input, &stats);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
@@ -492,6 +506,43 @@ TEST(StreamExecutorTest, MidStreamResumeAcceptsEveryStateKind) {
   EXPECT_EQ(stats.batches_skipped, 3u);
   ExpectSameMultiset(*baseline, *resumed);
   fs::remove_all(dir);
+}
+
+// A transient error at any node of any batch, after upstream operators
+// have staged that batch's changes, must leave the committed state
+// untouched: the retried attempt stages them again from scratch.
+TEST(StreamExecutorTest, RetryAtEveryActivityHitMatchesBatch) {
+  EveryStateScenario s;
+  ASSERT_NO_FATAL_FAILURE(MakeEveryStateScenario(&s));
+  auto baseline = ExecuteWorkflow(s.workflow, s.input);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  StreamOptions options;
+  options.num_batches = 5;
+  options.retry.max_attempts = 2;
+  StreamExecutor exec(options);
+
+  uint64_t hits = 0;
+  {
+    ScopedFaultInjection count(FaultSchedule{});
+    ASSERT_TRUE(exec.Run(s.workflow, s.input).ok());
+    hits = FaultInjector::Global().Stats().hits[static_cast<int>(
+        FaultSite::kActivityExecute)];
+  }
+  ASSERT_EQ(hits, 25u);  // 5 activity nodes x 5 batches
+  for (uint64_t h = 0; h < hits; ++h) {
+    FaultSchedule schedule;
+    FaultSpec error;
+    error.site = FaultSite::kActivityExecute;
+    error.hit = h;
+    error.kind = FaultKind::kError;
+    schedule.faults.push_back(error);
+    ScopedFaultInjection arm(schedule);
+    StreamStats stats;
+    auto r = exec.Run(s.workflow, s.input, &stats);
+    ASSERT_TRUE(r.ok()) << "hit " << h << ": " << r.status().ToString();
+    EXPECT_GE(stats.retries, 1u) << "hit " << h;
+    ExpectSameMultiset(*baseline, *r);
+  }
 }
 
 TEST(StreamExecutorTest, DifferentBatchingDoesNotCrossResume) {
