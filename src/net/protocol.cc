@@ -10,8 +10,7 @@ namespace etlopt {
 
 namespace {
 
-// SearchOptions booleans packed into one byte. disable_fast_paths and
-// num_threads are intentionally absent (see the header).
+// SearchOptions booleans packed into one byte.
 constexpr uint8_t kPhase1Bit = 1 << 0;
 constexpr uint8_t kFactorizeBit = 1 << 1;
 constexpr uint8_t kDistributeBit = 1 << 2;

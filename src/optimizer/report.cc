@@ -59,9 +59,8 @@ StatusOr<std::string> OptimizationReport(const Workflow& initial,
       result.exhausted ? "" : " (budget hit)");
   if (result.perf.full_recosts + result.perf.delta_recosts > 0) {
     out += StrFormat(
-        "search perf: %zu threads, %.0f states/s, %.0f%% delta recosts, "
+        "search perf: %.0f states/s, %.0f%% delta recosts, "
         "%.0f%% node cache hits\n",
-        result.perf.threads,
         result.elapsed_millis > 0
             ? 1000.0 * static_cast<double>(result.visited_states) /
                   static_cast<double>(result.elapsed_millis)

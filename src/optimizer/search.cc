@@ -12,7 +12,6 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "engine/thread_pool.h"
 #include "graph/analysis.h"
 #include "optimizer/budget.h"
 #include "optimizer/state_eval.h"
@@ -34,276 +33,144 @@ bool IsUnaryActivityNode(const Workflow& w, NodeId id) {
 using StateRef = std::shared_ptr<const State>;
 
 StateRef ShareState(State&& st) {
-  // The pointee is built non-const: the serial fast paths temporarily
-  // mutate a base state's workflow under an open surgery session (and
-  // roll it back); casting constness off a genuinely const object would
+  // The pointee is built non-const: candidate evaluation temporarily
+  // mutates a base state's workflow under an open surgery session (and
+  // rolls it back); casting constness off a genuinely const object would
   // be undefined.
   return std::make_shared<State>(std::move(st));
 }
 
-// Serial fast-path runs do transition surgery *directly on the base
-// state's workflow* — apply, evaluate, roll back — so candidate
-// evaluation copies nothing at all. Paranoid builds keep the scratch-copy
-// path instead: its rollback verification compares the restored workflow
-// against an untouched base, which is vacuous when they are the same
-// object.
-#ifndef ETLOPT_PARANOID_CHECKS
-constexpr bool kDirectSurgery = true;
-#else
-constexpr bool kDirectSurgery = false;
-#endif
+// Transition surgery runs *directly on the base state's workflow* — apply,
+// evaluate, roll back — so evaluating a candidate copies nothing. Every
+// session is rolled back before the state is read again, so the state is
+// logically immutable even while it hosts a probe.
+Workflow& SurgeryBase(const State& s) {
+  return const_cast<Workflow&>(s.workflow);
+}
 
-// One not-yet-applied transition: a copy-path thunk producing the derived
-// workflow (or a rejection status), the zero-copy in-place form of the
-// same transition, and the trace record. The copy thunk captures the base
-// workflow by reference, so candidates must be evaluated while it is
-// alive; the in-place form captures only node ids and can be re-applied
-// to any scratch equal to the base.
-struct Candidate {
-  std::function<StatusOr<Workflow>()> apply;
-  std::function<Status(Workflow&, Workflow::UndoLog&)> apply_in_place;
-  TransitionRecord rec;
-};
+// The figures of a state (hash, cost, breakdown): all that probing
+// against it reads. They describe bases whose workflow lives elsewhere —
+// a scratch slot or a replayed reconstruction — as well as States.
+NeighborEval FiguresOf(const State& s) {
+  NeighborEval f;
+  f.signature_hash = s.signature_hash;
+  f.cost = s.cost;
+  f.breakdown = s.breakdown;
+  return f;
+}
 
-// Per-worker scratch workflows (plus one spare for materialization) for
-// zero-copy neighbor generation. A worker copies the base into its slot
-// only when the slot holds something else, so consecutive evaluation
-// rounds against the same base — the common case when sweeps converge
-// without improving — cost no copy at all. Every apply→undo round trip
-// leaves the slot equal to its base (the key stays truthful);
-// materialization *steals* a synced slot outright (the workflow moves
-// into the State, no copy) and invalidates it.
-//
-// Reuse is keyed on the *source instance* (address of the immutable base
-// workflow) plus its signature hash — not the hash alone. Two states can
-// share a canonical signature yet differ byte-wise (node-id layout and
-// table order depend on the derivation path), so a hash-only match could
-// hand a worker a byte-different twin and break the exact-restore
-// contract. Bases with no stable identity — the path-replay BFS rebuilds
-// its base in a function-local cache whose address recurs across calls —
-// sync under an *ephemeral round* instead: they match only within the
-// same round (one EvalCandidates call), never across. Paranoid builds
-// byte-verify every reuse.
-class NeighborScratch {
+// Probes transitions on one base workflow. Each Probe applies a transition
+// in place, evaluates the neighbor against the base's figures, hands it to
+// `visit` while it is still applied (so the visitor may copy it), and rolls
+// it back. Paranoid builds byte-compare the base after every probe against
+// a twin copy taken at construction, and re-derive its hash and cost: the
+// base itself is the object being mutated, so only a twin can show that a
+// rollback restored it.
+class Prober {
  public:
-  explicit NeighborScratch(size_t workers) : slots_(workers + 1) {}
-
-  // Starts a new ephemeral round; slots previously synced from an
-  // ephemeral base stop matching.
-  void BeginEphemeralRound() { ++round_; }
-
-  // `base_id` identifies the base instance: the address of a workflow
-  // that stays alive and unmutated while the slot may be reused, or
-  // nullptr for an ephemeral base (matches within the current round
-  // only).
-  Workflow& Acquire(size_t slot, const Workflow& base_wf, uint64_t base_hash,
-                    const void* base_id) {
-    Slot& s = slots_[slot];
-    const bool match =
-        s.valid && s.base_hash == base_hash &&
-        (base_id != nullptr ? s.src == base_id
-                            : (s.src == nullptr && s.round == round_));
-    if (!match) {
-      s.workflow = base_wf;
-      s.base_hash = base_hash;
-      s.src = base_id;
-      s.round = round_;
-      s.valid = true;
-    }
+  Prober(Workflow& wf, NeighborEval base, const StateEvaluator& eval,
+         Workflow::UndoLog& log)
+      : wf_(wf),
+        base_(std::move(base)),
+        eval_(eval),
+        log_(log)
 #ifdef ETLOPT_PARANOID_CHECKS
-    else {
-      ETLOPT_CHECK(s.workflow.DebugEquals(base_wf));
-    }
+        ,
+        twin_(eval.ParanoidTwin(wf))
 #endif
-    return s.workflow;
+  {
   }
 
-  // A slot whose workflow equals the (durable) base, preferring one
-  // already synced from this very instance (free); falls back to syncing
-  // the spare slot. The caller consumes the workflow by move and must
-  // Invalidate() the slot, or keep mutating it and re-key it with Rekey.
-  size_t AcquireSynced(const Workflow& base_wf, uint64_t base_hash) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].valid && slots_[i].src == &base_wf &&
-          slots_[i].base_hash == base_hash) {
-#ifdef ETLOPT_PARANOID_CHECKS
-        ETLOPT_CHECK(slots_[i].workflow.DebugEquals(base_wf));
-#endif
-        return i;
+  // `apply(wf, log)` opens a session and mutates `wf`, or rolls back and
+  // fails when the transition is illegal here. `visit(applied, ne)` sees
+  // each legal neighbor. Returns false for an illegal transition.
+  template <typename Apply, typename Visit>
+  StatusOr<bool> Probe(const Apply& apply, const Visit& visit) {
+    const bool legal = apply(wf_, log_).ok();
+    Status status = Status::OK();
+    if (legal) {
+      auto ne = eval_.EvalNeighbor(wf_, *base_.breakdown);
+      if (ne.ok()) {
+        visit(static_cast<const Workflow&>(wf_), ne.value());
+      } else {
+        status = ne.status();
       }
+      wf_.RollbackSurgery();
     }
-    Acquire(slots_.size() - 1, base_wf, base_hash, &base_wf);
-    return slots_.size() - 1;
+#ifdef ETLOPT_PARANOID_CHECKS
+    eval_.ParanoidCheckRestore(wf_, twin_, base_.signature_hash, base_.cost);
+#endif
+    ETLOPT_RETURN_NOT_OK(status);
+    return legal;
   }
-
-  Workflow& workflow(size_t slot) { return slots_[slot].workflow; }
-  Workflow::UndoLog& log(size_t slot) { return slots_[slot].log; }
-
-  // Re-keys a slot after its workflow was mutated and committed in place.
-  // `src` names the instance the slot now mirrors (e.g. the State just
-  // materialized by copy from it), or nullptr when the content has no
-  // durable twin — the slot then stays private to its current holder.
-  void Rekey(size_t slot, const void* src, uint64_t hash) {
-    slots_[slot].src = src;
-    slots_[slot].base_hash = hash;
-    slots_[slot].round = 0;  // durable (or unmatchable): not round-scoped
-    slots_[slot].valid = true;
-  }
-
-  // Marks a slot's content as consumed (moved-from); the next Acquire of
-  // the slot re-copies.
-  void Invalidate(size_t slot) { slots_[slot].valid = false; }
 
  private:
-  struct Slot {
-    Workflow workflow;
-    Workflow::UndoLog log;
-    const void* src = nullptr;
-    uint64_t base_hash = 0;
-    uint64_t round = 0;
-    bool valid = false;
-  };
-  std::vector<Slot> slots_;
-  // Ephemeral rounds start at 1 so a default-initialized slot (round 0)
-  // never matches one.
-  uint64_t round_ = 1;
+  Workflow& wf_;
+  const NeighborEval base_;
+  const StateEvaluator& eval_;
+  Workflow::UndoLog& log_;
+#ifdef ETLOPT_PARANOID_CHECKS
+  Workflow twin_;
+#endif
 };
 
-// What EvalCandidates reports per candidate. On the zero-copy path only
-// the light fields are filled — the neighbor itself was rolled back; a
-// consumer that keeps the candidate promotes it via MaterializeOutcome.
-// On the copy path (disable_fast_paths baseline) the full State is
-// attached and MaterializeOutcome just releases it, so consumer code is
-// identical across A/B.
-struct CandidateOutcome {
-  bool alive = false;
-  uint64_t signature_hash = 0;
-  double cost = 0.0;
-  std::shared_ptr<const CostBreakdown> breakdown;
-  /// String signature for SignatureInterner cross-checks; filled only
-  /// under paranoid checks.
-  std::string paranoid_sig;
-  /// Copy path only.
-  std::optional<State> state;
+// The in-place form of SWA(u, d), as a Prober transition.
+auto SwapOf(NodeId u, NodeId d) {
+  return [u, d](Workflow& s, Workflow::UndoLog& log) {
+    return ApplySwapInPlace(s, u, d, log);
+  };
+}
+
+// One scratch workflow for transition sequences that advance away from a
+// base by committing (a hill-climb past its first winner, a Phase III
+// cascade). Reuse is keyed on the *source instance* (address of the
+// immutable base workflow) plus its signature hash — not the hash alone:
+// two states can share a canonical signature yet differ byte-wise
+// (node-id layout and table order depend on the derivation path), and a
+// byte-different twin would break the exact-restore contract. Paranoid
+// builds byte-verify every reuse.
+class ScratchSlot {
+ public:
+  // A workflow equal to `base_wf`: free when the slot already mirrors
+  // this very instance, one copy otherwise.
+  Workflow& Sync(const Workflow& base_wf, uint64_t base_hash) {
+    if (valid_ && src_ == &base_wf && hash_ == base_hash) {
+#ifdef ETLOPT_PARANOID_CHECKS
+      ETLOPT_CHECK(workflow_.DebugEquals(base_wf));
+#endif
+    } else {
+      workflow_ = base_wf;
+      Rekey(&base_wf, base_hash);
+    }
+    return workflow_;
+  }
+
+  // Re-keys the slot after its workflow was mutated and committed in
+  // place. `src` names the instance the slot now mirrors (e.g. the State
+  // just copied from it), or nullptr when the content has no durable twin.
+  void Rekey(const void* src, uint64_t hash) {
+    src_ = src;
+    hash_ = hash;
+    valid_ = true;
+  }
+
+  // Marks the slot's content as consumed (moved-from).
+  void Invalidate() { valid_ = false; }
+
+ private:
+  Workflow workflow_;
+  const void* src_ = nullptr;
+  uint64_t hash_ = 0;
+  bool valid_ = false;
 };
 
-// Evaluates all candidate transitions of a base workflow, fanning out
-// over `pool` when one is given, and returns per-candidate outcomes *in
-// candidate order* — workers fill index-slotted results, so the outcome
-// is byte-identical to a serial loop. A candidate whose transition is
-// rejected is left !alive; an evaluation error propagates (the pool
-// reports the smallest failing index, matching what a serial loop would
-// return).
-//
-// The base is split into workflow and figures so callers holding only a
-// light state — cost, hash, breakdown, but no owned workflow (the
-// path-replay BFS) — can evaluate against a reconstructed workflow;
-// `base_meta.workflow` is never read. The base workflow may carry an open
-// surgery session: the direct path nests one candidate session inside it,
-// and the scratch path copies it (copies never inherit a session).
-// `ephemeral_base` marks a base whose address does not outlive the call
-// (a replayed reconstruction): scratch slots synced from it are scoped to
-// this call and never reused against a later base.
-//
-// With fast paths on, each worker mutates its scratch in place, computes
-// hash + delta cost, and rolls back — no per-candidate Workflow copy.
-// Paranoid builds verify every rollback restored the base exactly.
-StatusOr<std::vector<CandidateOutcome>> EvalCandidates(
-    const Workflow& base_wf, const State& base_meta,
-    const std::vector<Candidate>& candidates, const StateEvaluator& eval,
-    ThreadPool* pool, NeighborScratch* scratch, bool ephemeral_base = false) {
-  const bool zero_copy = eval.fast_paths();
-  // Serial runs need no private scratch copy: candidates are applied to
-  // and rolled back off the base workflow itself, one at a time.
-  const bool direct = kDirectSurgery && zero_copy && pool == nullptr;
-  const void* base_id = ephemeral_base ? nullptr : &base_wf;
-  if (zero_copy && !direct && ephemeral_base) scratch->BeginEphemeralRound();
-  std::vector<CandidateOutcome> outcomes(candidates.size());
-  auto eval_one = [&](size_t i, size_t worker) -> Status {
-    CandidateOutcome& o = outcomes[i];
-    if (zero_copy) {
-      Workflow& wf = direct ? const_cast<Workflow&>(base_wf)
-                            : scratch->Acquire(worker, base_wf,
-                                               base_meta.signature_hash,
-                                               base_id);
-      Status applied = candidates[i].apply_in_place(wf, scratch->log(worker));
-      if (!applied.ok()) return Status::OK();  // illegal transition: prune
-      auto ne = eval.EvalNeighbor(wf, base_meta);
-      wf.RollbackSurgery();
-      if (!direct) {
-        eval.ParanoidCheckRestore(wf, base_wf, base_meta.signature_hash,
-                                  base_meta.cost);
-      }
-      if (!ne.ok()) return ne.status();
-      o.alive = true;
-      o.signature_hash = ne.value().signature_hash;
-      o.cost = ne.value().cost;
-      o.breakdown = std::move(ne.value().breakdown);
-      o.paranoid_sig = std::move(ne.value().signature);
-      return Status::OK();
-    }
-    auto trial = candidates[i].apply();
-    if (!trial.ok()) return Status::OK();  // illegal transition: prune
-    ETLOPT_ASSIGN_OR_RETURN(State st,
-                            eval.EvalFrom(std::move(trial).value(), base_meta));
-    o.alive = true;
-    o.signature_hash = st.signature_hash;
-    o.cost = st.cost;
-    o.breakdown = st.breakdown;
-#ifdef ETLOPT_PARANOID_CHECKS
-    o.paranoid_sig =
-        st.signature.empty() ? st.workflow.Signature() : st.signature;
-#endif
-    o.state = std::move(st);
-    return Status::OK();
-  };
-  if (pool != nullptr && candidates.size() > 1) {
-    ETLOPT_RETURN_NOT_OK(pool->ParallelFor(candidates.size(), eval_one));
-  } else {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      ETLOPT_RETURN_NOT_OK(eval_one(i, 0));
-    }
-  }
-  return outcomes;
-}
-
-// Promotes a surviving candidate to a full State. Copy path: release the
-// already-built State. Zero-copy path: deterministically re-apply the
-// transition to a scratch slot still synced to the base (the undo log
-// restored the id counter, so the re-applied neighbor is bit-identical to
-// the evaluated one), commit, and *move* the workflow into the State —
-// the slot a worker already synced this round is consumed outright, so
-// promoting the first survivor of a round costs no copy at all.
-//
-// Runs sequentially, after EvalCandidates' workers have all rolled back.
-StatusOr<State> MaterializeOutcome(const State& base, const Candidate& c,
-                                   CandidateOutcome& o,
-                                   const StateEvaluator& eval,
-                                   NeighborScratch* scratch) {
-  ETLOPT_CHECK(o.alive);
-  if (o.state.has_value()) {
-    State st = std::move(*o.state);
-    o.state.reset();
-    return st;
-  }
-  const size_t slot =
-      scratch->AcquireSynced(base.workflow, base.signature_hash);
-  Workflow& wf = scratch->workflow(slot);
-  // The light evaluation already accepted this transition on an identical
-  // workflow, so the re-apply cannot fail.
-  ETLOPT_RETURN_NOT_OK(c.apply_in_place(wf, scratch->log(slot)));
-#ifdef ETLOPT_PARANOID_CHECKS
-  // The re-applied neighbor must be the evaluated one, bit for bit.
-  ETLOPT_CHECK(wf.SignatureHash() == o.signature_hash);
-#endif
-  NeighborEval ne;
-  ne.signature_hash = o.signature_hash;
-  ne.cost = o.cost;
-  ne.breakdown = o.breakdown;
-  wf.CommitSurgery();
-  scratch->Invalidate(slot);
-  return eval.MaterializeState(std::move(wf), ne);
-}
+// One not-yet-applied transition: its in-place form (see Prober) and the
+// trace record. The in-place form captures only node ids, so it applies to
+// any workflow equal to the one it was collected from.
+struct Candidate {
+  std::function<Status(Workflow&, Workflow::UndoLog&)> apply;
+  TransitionRecord rec;
+};
 
 // The candidate successors of `w` under SWA, FAC, DIS, in the canonical
 // enumeration order (ascending node ids; analysis order for pairs).
@@ -317,22 +184,17 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
     if (consumers.size() != 1 || !IsUnaryActivityNode(w, consumers[0]))
       continue;
     NodeId d = consumers[0];
-    out.push_back(
-        {[&w, u, d] { return ApplySwap(w, u, d); },
-         [u, d](Workflow& s, Workflow::UndoLog& log) {
-           return ApplySwapInPlace(s, u, d, log);
-         },
-         TransitionRecord{TransitionRecord::Kind::kSwap,
-                          StrFormat("SWA(%s,%s)",
-                                    w.PriorityLabelOf(u).c_str(),
-                                    w.PriorityLabelOf(d).c_str())}});
+    out.push_back({SwapOf(u, d),
+                   TransitionRecord{TransitionRecord::Kind::kSwap,
+                                    StrFormat("SWA(%s,%s)",
+                                              w.PriorityLabelOf(u).c_str(),
+                                              w.PriorityLabelOf(d).c_str())}});
   }
 
   // FAC over homologous pairs adjacent to their binary.
   for (const auto& h : FindHomologousPairs(w)) {
     out.push_back(
-        {[&w, h] { return ApplyFactorize(w, h.binary, h.a1, h.a2); },
-         [h](Workflow& s, Workflow::UndoLog& log) {
+        {[h](Workflow& s, Workflow::UndoLog& log) {
            return ApplyFactorizeInPlace(s, h.binary, h.a1, h.a2, log);
          },
          TransitionRecord{TransitionRecord::Kind::kFactorize,
@@ -345,8 +207,7 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
   // DIS of direct consumers of binary activities.
   for (const auto& d : FindDistributable(w)) {
     out.push_back(
-        {[&w, d] { return ApplyDistribute(w, d.binary, d.node); },
-         [d](Workflow& s, Workflow::UndoLog& log) {
+        {[d](Workflow& s, Workflow::UndoLog& log) {
            return ApplyDistributeInPlace(s, d.binary, d.node, log);
          },
          TransitionRecord{TransitionRecord::Kind::kDistribute,
@@ -357,13 +218,13 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
   return out;
 }
 
-// Read-only legality walk of a forward shift chain: true when every node
-// between `a` and `stop` is a single-consumer unary activity — the exact
-// sequence of structural checks ShiftForward performs, evaluated without
-// paying the owned-workflow copy. A semantically illegal swap can still
+// Read-only legality walk of a downstream shift chain: true when every
+// node between `a` and `stop` is a single-consumer unary activity — the
+// exact sequence of structural checks ShiftDownstream performs, evaluated
+// before a surgery session opens. A semantically illegal swap can still
 // fail inside the chain afterwards; the walk only screens out chains that
 // are structurally doomed, so skipping them never changes search results.
-bool CanShiftForward(const Workflow& w, NodeId a, NodeId stop) {
+bool CanShiftDownstream(const Workflow& w, NodeId a, NodeId stop) {
   NodeId cur = a;
   while (true) {
     std::vector<NodeId> consumers = w.Consumers(cur);
@@ -374,8 +235,8 @@ bool CanShiftForward(const Workflow& w, NodeId a, NodeId stop) {
   }
 }
 
-// Backward twin of CanShiftForward, mirroring ShiftBackward's checks.
-bool CanShiftBackward(const Workflow& w, NodeId a, NodeId stop) {
+// Upstream twin of CanShiftDownstream, mirroring ShiftUpstream's checks.
+bool CanShiftUpstream(const Workflow& w, NodeId a, NodeId stop) {
   NodeId cur = a;
   while (true) {
     std::vector<NodeId> providers = w.Providers(cur);
@@ -386,26 +247,10 @@ bool CanShiftBackward(const Workflow& w, NodeId a, NodeId stop) {
   }
 }
 
-// Moves `a` downstream via swaps until its consumer is `stop`, copying
-// the workflow per swap — the disable_fast_paths baseline cost profile.
-StatusOr<Workflow> ShiftForward(Workflow w, NodeId a, NodeId stop) {
-  while (true) {
-    std::vector<NodeId> consumers = w.Consumers(a);
-    if (consumers.size() != 1) {
-      return Status::FailedPrecondition("shift-forward: no single consumer");
-    }
-    if (consumers[0] == stop) return w;
-    if (!IsUnaryActivityNode(w, consumers[0])) {
-      return Status::FailedPrecondition(
-          "shift-forward: blocked by a non-unary node");
-    }
-    ETLOPT_ASSIGN_OR_RETURN(w, ApplySwap(w, a, consumers[0]));
-  }
-}
-
-// Zero-copy twin of ShiftForward: rewires `w` directly. Meant to run
-// inside an open surgery session so a failed chain rolls back whole.
-Status ShiftForwardDirect(Workflow& w, NodeId a, NodeId stop) {
+// Moves `a` downstream via swaps until its consumer is `stop`, rewiring
+// `w` directly. Meant to run inside an open surgery session so a failed
+// chain rolls back whole.
+Status ShiftDownstream(Workflow& w, NodeId a, NodeId stop) {
   while (true) {
     std::vector<NodeId> consumers = w.Consumers(a);
     if (consumers.size() != 1) {
@@ -420,25 +265,8 @@ Status ShiftForwardDirect(Workflow& w, NodeId a, NodeId stop) {
   }
 }
 
-// Moves `a` upstream via swaps until its provider is `stop` (baseline,
-// copy per swap).
-StatusOr<Workflow> ShiftBackward(Workflow w, NodeId a, NodeId stop) {
-  while (true) {
-    std::vector<NodeId> providers = w.Providers(a);
-    if (providers.size() != 1) {
-      return Status::FailedPrecondition("shift-backward: not unary");
-    }
-    if (providers[0] == stop) return w;
-    if (!IsUnaryActivityNode(w, providers[0])) {
-      return Status::FailedPrecondition(
-          "shift-backward: blocked by a non-unary node");
-    }
-    ETLOPT_ASSIGN_OR_RETURN(w, ApplySwap(w, providers[0], a));
-  }
-}
-
-// Zero-copy twin of ShiftBackward.
-Status ShiftBackwardDirect(Workflow& w, NodeId a, NodeId stop) {
+// Moves `a` upstream via swaps until its provider is `stop`.
+Status ShiftUpstream(Workflow& w, NodeId a, NodeId stop) {
   while (true) {
     std::vector<NodeId> providers = w.Providers(a);
     if (providers.size() != 1) {
@@ -453,67 +281,33 @@ Status ShiftBackwardDirect(Workflow& w, NodeId a, NodeId stop) {
   }
 }
 
-// One zero-copy Phase II/III chain attempt: runs `chain` — a sequence of
-// Direct transitions — inside a single surgery session on a scratch slot
-// synced to `base` (free when the previous attempt against the same base
-// rolled back), then refreshes and light-evaluates the result. A rejected
-// chain rolls back whole and returns nullopt without any copy; an
-// accepted one steals the slot by move. A refresh or evaluation failure
-// propagates, matching the baseline's EvalFrom error behavior.
-StatusOr<std::optional<State>> TryChainInPlace(
-    const State& base, const std::function<Status(Workflow&)>& chain,
-    const StateEvaluator& eval, NeighborScratch* scratch) {
-  if (kDirectSurgery) {
-    // Phases II/III are sequential even in parallel runs, so the chain
-    // can operate on the base state's own workflow: a rejected chain
-    // rolls back for free, an accepted one pays exactly one copy (the
-    // materialized State) and then rolls the base back.
-    Workflow& wf = const_cast<Workflow&>(base.workflow);
-    Workflow::UndoLog log;
-    wf.BeginSurgery(&log);
-    Status applied = chain(wf);
-    if (!applied.ok()) {
-      wf.RollbackSurgery();
-      return std::optional<State>();
-    }
-    Status refreshed = wf.Refresh();
-    if (!refreshed.ok()) {
-      wf.RollbackSurgery();
-      return refreshed;  // transitions guarantee validity: a real error
-    }
-    auto ne = eval.EvalNeighbor(wf, base);
-    if (!ne.ok()) {
-      wf.RollbackSurgery();
-      return ne.status();
-    }
-    State st = eval.MaterializeState(wf, ne.value());
-    wf.RollbackSurgery();
-    return std::optional<State>(std::move(st));
-  }
-  const size_t slot =
-      scratch->AcquireSynced(base.workflow, base.signature_hash);
-  Workflow& wf = scratch->workflow(slot);
-  wf.BeginSurgery(&scratch->log(slot));
-  Status applied = chain(wf);
-  if (!applied.ok()) {
-    wf.RollbackSurgery();
-    eval.ParanoidCheckRestore(wf, base);
-    return std::optional<State>();
-  }
-  Status refreshed = wf.Refresh();
-  if (!refreshed.ok()) {
-    wf.RollbackSurgery();
-    return refreshed;  // transitions guarantee validity: a real error
-  }
-  auto ne = eval.EvalNeighbor(wf, base);
-  if (!ne.ok()) {
-    wf.RollbackSurgery();
-    return ne.status();
-  }
-  wf.CommitSurgery();
-  scratch->Invalidate(slot);
-  return std::optional<State>(
-      eval.MaterializeState(std::move(wf), ne.value()));
+// One Phase II chain attempt: shifts the homologous pair `h` down to its
+// binary and factorizes it, all as one surgery session on `base`'s own
+// workflow. A rejected chain rolls back for free and yields nullptr; an
+// accepted one pays exactly one copy (the State it becomes) and is then
+// rolled back too.
+StatusOr<StateRef> TryFactorizeChain(const State& base,
+                                     const HomologousPair& h,
+                                     const StateEvaluator& eval,
+                                     Workflow::UndoLog& log) {
+  StateRef kept;
+  Prober prober(SurgeryBase(base), FiguresOf(base), eval, log);
+  ETLOPT_RETURN_NOT_OK(
+      prober
+          .Probe(
+              [&h](Workflow& wf, Workflow::UndoLog& l) {
+                wf.BeginSurgery(&l);
+                Status s = ShiftDownstream(wf, h.a1, h.binary);
+                if (s.ok()) s = ShiftDownstream(wf, h.a2, h.binary);
+                if (s.ok()) s = ApplyFactorizeDirect(wf, h.binary, h.a1, h.a2);
+                if (!s.ok()) wf.RollbackSurgery();
+                return s;
+              },
+              [&](const Workflow& applied, NeighborEval& ne) {
+                kept = ShareState(eval.MaterializeState(applied, ne));
+              })
+          .status());
+  return kept;
 }
 
 // Adjacent pairs (u, d) with both endpoints inside `group`.
@@ -530,369 +324,204 @@ std::vector<std::pair<NodeId, NodeId>> AdjacentPairsInGroup(
   return out;
 }
 
-// The in-group swap transitions of `w` as candidates (records unused —
-// group sweeps do not trace lineage).
-std::vector<Candidate> SwapCandidatesInGroup(const Workflow& w,
-                                             const std::set<NodeId>& group) {
-  std::vector<Candidate> out;
-  for (const auto& [u, d] : AdjacentPairsInGroup(w, group)) {
-    NodeId uu = u, dd = d;
-    out.push_back({[&w, uu, dd] { return ApplySwap(w, uu, dd); },
-                   [uu, dd](Workflow& s, Workflow::UndoLog& log) {
-                     return ApplySwapInPlace(s, uu, dd, log);
-                   },
-                   TransitionRecord{}});
-  }
-  return out;
-}
-
-// Serial zero-copy hill-climb over one group's swaps: the sweep borrows a
-// single scratch slot for its entire duration. Candidates are applied and
-// rolled back on it; the winning swap of each round is re-applied and
-// *committed*, advancing the slot toward the local optimum without any
-// intermediate materialization. Copy cost of a whole sweep: one sync if
-// the slot was cold (zero when the previous sweep left the same base
-// behind), zero when nothing improves, and a move — not a copy — for the
-// final state when something did.
-//
-// Decision-for-decision identical to the generic hill-climb in
-// OptimizeGroupSwaps: same candidate order, same eval values, same budget
-// accounting, same strict-< first-winner tie-break.
-StatusOr<StateRef> HillClimbSwapsInPlace(StateRef start,
-                                         const std::set<NodeId>& group,
-                                         const StateEvaluator& eval,
-                                         NeighborScratch* scratch,
-                                         Budget* budget) {
-  // With direct surgery the climb starts right on the base workflow — a
-  // sweep that never improves (the common case for Phase IV re-sweeps)
-  // costs zero copies. The climb moves onto a scratch copy only at the
-  // first committed winner, because committing must not alter `start`.
-  // Paranoid builds use the scratch slot throughout so every rollback can
-  // be byte-compared against an untouched twin.
-  size_t slot = 0;
-  bool have_slot = false;
-  Workflow* sweep = nullptr;
-  Workflow::UndoLog direct_log;
-  Workflow::UndoLog* log = nullptr;
-  if (kDirectSurgery) {
-    sweep = const_cast<Workflow*>(&start->workflow);
-    log = &direct_log;
-  } else {
-    slot = scratch->AcquireSynced(start->workflow, start->signature_hash);
-    have_slot = true;
-    sweep = &scratch->workflow(slot);
-    log = &scratch->log(slot);
-  }
-  // EvalNeighbor reads only the breakdown of its base; the sweep workflow
-  // itself plays the role of base.workflow.
-  State light;
-  light.cost = start->cost;
-  light.signature_hash = start->signature_hash;
-  light.breakdown = start->breakdown;
-#ifdef ETLOPT_PARANOID_CHECKS
-  // Byte-compare target for every rollback (the generic path gets this
-  // from ParanoidCheckRestore against the materialized base).
-  Workflow twin = *sweep;
-#endif
-  bool any_commit = false;
+// Zero-copy hill-climb over one group's swaps: repeatedly applies the best
+// cost-improving swap (strict <, first winner in candidate order). The
+// climb probes right on the base workflow — a sweep that never improves
+// (the common case for Phase IV re-sweeps) costs zero copies. At the first
+// winner it moves onto the scratch slot (one sync, free when the slot
+// already mirrors `start`), because committing must not alter `start`;
+// each round's winner is re-applied and *committed* there, and the final
+// state is moved, not copied, out of the slot.
+StatusOr<StateRef> HillClimbSwaps(StateRef start,
+                                  const std::set<NodeId>& group,
+                                  const StateEvaluator& eval,
+                                  ScratchSlot* scratch,
+                                  Workflow::UndoLog& log, Budget* budget) {
+  Workflow* sweep = &SurgeryBase(*start);
+  bool on_slot = false;
+  // The figures of the sweep's current state; its workflow is `*sweep`.
+  NeighborEval figs = FiguresOf(*start);
   bool improved = true;
   while (improved && !budget->Exhausted()) {
     improved = false;
     const auto pairs = AdjacentPairsInGroup(*sweep, group);
-    double best_cost = light.cost;
+    double best_cost = figs.cost;
     size_t best_i = pairs.size();
     NeighborEval best_ne;
+    Prober prober(*sweep, figs, eval, log);
     for (size_t i = 0; i < pairs.size(); ++i) {
-      Status applied = ApplySwapInPlace(*sweep, pairs[i].first,
-                                        pairs[i].second, *log);
-      if (!applied.ok()) continue;  // illegal transition: prune
-      auto ne = eval.EvalNeighbor(*sweep, light);
-      sweep->RollbackSurgery();
-#ifdef ETLOPT_PARANOID_CHECKS
-      ETLOPT_CHECK(sweep->DebugEquals(twin));
-      ETLOPT_CHECK(sweep->SignatureHash() == light.signature_hash);
-#endif
-      if (!ne.ok()) return ne.status();
-      ++budget->visited;
-      if (ne.value().cost < best_cost) {
-        best_cost = ne.value().cost;
-        best_i = i;
-        best_ne = std::move(ne).value();
-        improved = true;
-      }
+      ETLOPT_ASSIGN_OR_RETURN(
+          bool legal,
+          prober.Probe(SwapOf(pairs[i].first, pairs[i].second),
+                       [&](const Workflow&, NeighborEval& ne) {
+                         if (ne.cost < best_cost) {
+                           best_cost = ne.cost;
+                           best_i = i;
+                           best_ne = std::move(ne);
+                           improved = true;
+                         }
+                       }));
+      if (legal) ++budget->visited;
     }
     budget->generated += pairs.size();
-    if (improved) {
-      if (!have_slot) {
-        // First winner: move the climb onto a scratch copy equal to the
-        // current sweep state (`start` itself, still unmutated).
-        slot = scratch->AcquireSynced(start->workflow, start->signature_hash);
-        have_slot = true;
-        sweep = &scratch->workflow(slot);
-        log = &scratch->log(slot);
-      }
-      // Advance the sweep: re-apply the winner and keep it.
-      ETLOPT_RETURN_NOT_OK(ApplySwapInPlace(*sweep, pairs[best_i].first,
-                                            pairs[best_i].second, *log));
-#ifdef ETLOPT_PARANOID_CHECKS
-      ETLOPT_CHECK(sweep->SignatureHash() == best_ne.signature_hash);
-#endif
-      sweep->CommitSurgery();
-      sweep->ClearDirtyNodes();
-      // No durable twin exists for the advanced sweep state; the nullptr
-      // key keeps the slot private to this climb.
-      scratch->Rekey(slot, nullptr, best_ne.signature_hash);
-      light.cost = best_ne.cost;
-      light.signature_hash = best_ne.signature_hash;
-      light.breakdown = best_ne.breakdown;
-      any_commit = true;
-#ifdef ETLOPT_PARANOID_CHECKS
-      twin = *sweep;
-#endif
+    if (!improved) break;
+    if (!on_slot) {
+      sweep = &scratch->Sync(start->workflow, start->signature_hash);
+      on_slot = true;
     }
+    // Advance the sweep: re-apply the winner and keep it.
+    ETLOPT_RETURN_NOT_OK(ApplySwapInPlace(*sweep, pairs[best_i].first,
+                                          pairs[best_i].second, log));
+#ifdef ETLOPT_PARANOID_CHECKS
+    ETLOPT_CHECK(sweep->SignatureHash() == best_ne.signature_hash);
+#endif
+    sweep->CommitSurgery();
+    sweep->ClearDirtyNodes();
+    // No durable twin exists for the advanced sweep state; the nullptr key
+    // keeps the slot private to this climb.
+    scratch->Rekey(nullptr, best_ne.signature_hash);
+    figs = std::move(best_ne);
   }
-  if (!any_commit) return start;  // nothing mutated; no slot consumed
-  NeighborEval fin;
-  fin.cost = light.cost;
-  fin.signature_hash = light.signature_hash;
-  fin.breakdown = light.breakdown;
-  scratch->Invalidate(slot);
-  return ShareState(eval.MaterializeState(std::move(*sweep), fin));
+  if (!on_slot) return start;  // nothing improved; nothing copied
+  scratch->Invalidate();
+  return ShareState(eval.MaterializeState(std::move(*sweep), figs));
 }
 
 // Phase I / IV inner loop: optimizes the order of one local group's
 // activities by swaps only.
 //
-// HS explores every reachable ordering of the group (bounded BFS,
-// Heuristic 4's divide-and-conquer); HS-Greedy hill-climbs, accepting only
-// cost-improving swaps (§4.2's greedy variant). Candidate swaps of each
-// step are evaluated in parallel; acceptance runs sequentially in
-// candidate order, so the sweep is deterministic across thread counts.
+// HS-Greedy hill-climbs, accepting only cost-improving swaps (§4.2's
+// greedy variant). HS seeds a bounded BFS over every reachable ordering of
+// the group (Heuristic 4's divide-and-conquer) with the hill-climbed
+// ordering, so its sweep is never worse than the greedy one.
 StatusOr<StateRef> OptimizeGroupSwaps(StateRef start,
                                       const std::vector<NodeId>& group_nodes,
                                       const StateEvaluator& eval,
-                                      ThreadPool* pool,
                                       SignatureInterner* interner,
-                                      NeighborScratch* scratch, bool greedy,
+                                      ScratchSlot* scratch,
+                                      Workflow::UndoLog& log, bool greedy,
                                       const SearchOptions& options,
                                       Budget* budget) {
   std::set<NodeId> group(group_nodes.begin(), group_nodes.end());
-  // Hill-climb: repeatedly apply the best cost-improving swap. Only the
-  // winner of each step is materialized; the losing neighbors never leave
-  // the scratch. Serial zero-copy runs take the in-place sweep (one
-  // borrowed slot for the whole climb); parallel runs fan the candidates
-  // out over the pool — both make identical decisions.
-  auto hill_climb = [&](StateRef current) -> StatusOr<StateRef> {
-    if (eval.fast_paths() && pool == nullptr) {
-      return HillClimbSwapsInPlace(std::move(current), group, eval, scratch,
-                                   budget);
-    }
-    bool improved = true;
-    while (improved && !budget->Exhausted()) {
-      improved = false;
-      std::vector<Candidate> candidates =
-          SwapCandidatesInGroup(current->workflow, group);
-      ETLOPT_ASSIGN_OR_RETURN(
-          auto outcomes, EvalCandidates(current->workflow, *current,
-                                        candidates, eval, pool, scratch));
-      budget->generated += candidates.size();
-      double best_cost = current->cost;
-      size_t best_i = candidates.size();
-      for (size_t i = 0; i < outcomes.size(); ++i) {
-        if (!outcomes[i].alive) continue;
-        ++budget->visited;
-        if (outcomes[i].cost < best_cost) {
-          best_cost = outcomes[i].cost;
-          best_i = i;
-          improved = true;
-        }
-      }
-      if (improved) {
-        ETLOPT_ASSIGN_OR_RETURN(
-            State next, MaterializeOutcome(*current, candidates[best_i],
-                                           outcomes[best_i], eval, scratch));
-        current = ShareState(std::move(next));
-      }
-    }
-    return current;
+  ETLOPT_ASSIGN_OR_RETURN(
+      StateRef best, HillClimbSwaps(start, group, eval, scratch, log, budget));
+  if (greedy) return best;
+  // Light BFS: a queue entry is (root, swap path) plus the figures the
+  // candidate evaluation already computed — enqueueing a state costs no
+  // workflow copy at all. A popped entry is reconstructed by replaying its
+  // path on a cached copy of its root inside a surgery session; candidates
+  // are probed against the reconstruction in nested sessions, and the
+  // outer rollback returns the cache to its root. Only the overall winner
+  // is materialized, once, at the end.
+  //
+  // Replay is deterministic: in-group swaps never create or destroy nodes,
+  // so node ids are stable along any path, and re-applying the same swaps
+  // to a byte-identical root reproduces the evaluated state bit for bit.
+  struct Entry {
+    StateRef root;
+    std::vector<std::pair<NodeId, NodeId>> path;
+    NeighborEval figs;
   };
-  if (greedy) return hill_climb(std::move(start));
-  // HS: seed the bounded BFS with the hill-climbed ordering so the sweep
-  // is never worse than the greedy one, then explore around it.
-  ETLOPT_ASSIGN_OR_RETURN(StateRef best, hill_climb(start));
-  if (eval.fast_paths()) {
-    // Light BFS: a queue entry is (root, swap path) plus the figures the
-    // candidate evaluation already computed — enqueueing a state costs no
-    // workflow copy at all. A popped entry is reconstructed by replaying
-    // its path on a cached copy of its root inside a surgery session;
-    // candidates are evaluated against the reconstruction (nested
-    // sessions on the direct path), and the outer rollback returns the
-    // cache to its root. Only the overall winner is materialized, once,
-    // at the end.
-    //
-    // Replay is deterministic: in-group swaps never create or destroy
-    // nodes, so node ids are stable along any path, and re-applying the
-    // same swaps to a byte-identical root reproduces the evaluated state
-    // bit for bit. Decisions (candidate order, seen-set inserts, budget
-    // accounting, strict-< best tracking) are identical to the
-    // materializing BFS below, which the disable_fast_paths baseline
-    // keeps.
-    struct Entry {
-      StateRef root;
-      std::vector<std::pair<NodeId, NodeId>> path;
-      double cost = 0.0;
-      uint64_t hash = 0;
-      std::shared_ptr<const CostBreakdown> breakdown;
-    };
-    std::deque<Entry> queue;
-    queue.push_back(
-        Entry{best, {}, best->cost, best->signature_hash, best->breakdown});
-    queue.push_back(
-        Entry{start, {}, start->cost, start->signature_hash,
-              start->breakdown});
-    std::set<uint64_t> seen{interner->Intern(*best), interner->Intern(*start)};
-    // One replay cache per seed root; a rolled-back cache equals its root,
-    // so alternating between the two costs no re-copy.
-    struct RootCache {
-      Workflow wf;
-      uint64_t hash = 0;
-      bool valid = false;
-    };
-    RootCache roots[2];
-    Workflow::UndoLog path_log;
-    double best_cost = best->cost;
-    std::optional<Entry> winner;
-    while (!queue.empty() && seen.size() < options.max_states_per_group &&
-           !budget->Exhausted()) {
-      Entry cur = std::move(queue.front());
-      queue.pop_front();
-      const Workflow* base_wf = &cur.root->workflow;
-      Workflow* replayed = nullptr;
-      if (!cur.path.empty()) {
-        RootCache* rc = nullptr;
-        for (RootCache& r : roots) {
-          if (r.valid && r.hash == cur.root->signature_hash) rc = &r;
-        }
-        if (rc == nullptr) {
-          rc = !roots[0].valid ? &roots[0] : &roots[1];
-          rc->wf = cur.root->workflow;
-          rc->hash = cur.root->signature_hash;
-          rc->valid = true;
-        }
-        replayed = &rc->wf;
-        replayed->BeginSurgery(&path_log);
-        Status step = Status::OK();
-        for (const auto& [u, d] : cur.path) {
-          step = ApplySwapDirect(*replayed, u, d);
-          if (!step.ok()) break;
-        }
-        if (step.ok()) step = replayed->Refresh();
-        if (!step.ok()) {
-          replayed->RollbackSurgery();
-          return step;  // replay of accepted swaps: a real error
-        }
-        // The entry's breakdown is current for the reconstruction, so the
-        // dirty set restarts empty — candidate evaluations delta-recost
-        // only their own swap. Rollback restores the root's (empty) set.
-        replayed->ClearDirtyNodes();
-#ifdef ETLOPT_PARANOID_CHECKS
-        ETLOPT_CHECK(replayed->SignatureHash() == cur.hash);
-#endif
-        base_wf = replayed;
-      }
-      State light;
-      light.cost = cur.cost;
-      light.signature_hash = cur.hash;
-      light.breakdown = cur.breakdown;
-      const auto pairs = AdjacentPairsInGroup(*base_wf, group);
-      std::vector<Candidate> candidates =
-          SwapCandidatesInGroup(*base_wf, group);
-      // A replayed reconstruction lives in a function-local cache whose
-      // address recurs across calls, so it is an ephemeral base for the
-      // scratch slots; an unreplayed root is the durable State itself.
-      auto outcomes = EvalCandidates(*base_wf, light, candidates, eval, pool,
-                                     scratch,
-                                     /*ephemeral_base=*/replayed != nullptr);
-      if (!outcomes.ok()) {
-        if (replayed != nullptr) replayed->RollbackSurgery();
-        return outcomes.status();
-      }
-      budget->generated += candidates.size();
-      for (size_t i = 0; i < outcomes.value().size(); ++i) {
-        CandidateOutcome& o = outcomes.value()[i];
-        if (!o.alive) continue;
-        if (!seen.insert(interner->Intern(o.signature_hash, o.paranoid_sig))
-                 .second) {
-          continue;
-        }
-        ++budget->visited;
-        Entry child;
-        child.root = cur.root;
-        child.path = cur.path;
-        child.path.push_back(pairs[i]);
-        child.cost = o.cost;
-        child.hash = o.signature_hash;
-        child.breakdown = std::move(o.breakdown);
-        if (child.cost < best_cost) {
-          best_cost = child.cost;
-          winner = child;
-        }
-        queue.push_back(std::move(child));
-      }
-      if (replayed != nullptr) {
-        replayed->RollbackSurgery();
-#ifdef ETLOPT_PARANOID_CHECKS
-        ETLOPT_CHECK(replayed->SignatureHash() == cur.root->signature_hash);
-#endif
-      }
-    }
-    if (!winner.has_value()) return best;
-    // Materialize the winner: the single copy the whole BFS pays.
-    Workflow wf = winner->root->workflow;
-    for (const auto& [u, d] : winner->path) {
-      ETLOPT_RETURN_NOT_OK(ApplySwapDirect(wf, u, d));
-    }
-    ETLOPT_RETURN_NOT_OK(wf.Refresh());
-#ifdef ETLOPT_PARANOID_CHECKS
-    ETLOPT_CHECK(wf.SignatureHash() == winner->hash);
-#endif
-    NeighborEval ne;
-    ne.cost = winner->cost;
-    ne.signature_hash = winner->hash;
-    ne.breakdown = std::move(winner->breakdown);
-    return ShareState(eval.MaterializeState(std::move(wf), ne));
-  }
-  std::deque<StateRef> queue;
-  queue.push_back(best);
-  queue.push_back(start);
+  std::deque<Entry> queue;
+  queue.push_back(Entry{best, {}, FiguresOf(*best)});
+  queue.push_back(Entry{start, {}, FiguresOf(*start)});
   std::set<uint64_t> seen{interner->Intern(*best), interner->Intern(*start)};
+  // One replay cache per seed root; a rolled-back cache equals its root,
+  // so alternating between the two costs no re-copy.
+  struct RootCache {
+    Workflow wf;
+    uint64_t hash = 0;
+    bool valid = false;
+  };
+  RootCache roots[2];
+  Workflow::UndoLog path_log;
+  double best_cost = best->cost;
+  std::optional<Entry> winner;
   while (!queue.empty() && seen.size() < options.max_states_per_group &&
          !budget->Exhausted()) {
-    StateRef cur = std::move(queue.front());
+    Entry cur = std::move(queue.front());
     queue.pop_front();
-    std::vector<Candidate> candidates =
-        SwapCandidatesInGroup(cur->workflow, group);
-    ETLOPT_ASSIGN_OR_RETURN(
-        auto outcomes, EvalCandidates(cur->workflow, *cur, candidates, eval,
-                                      pool, scratch));
-    budget->generated += candidates.size();
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      CandidateOutcome& o = outcomes[i];
-      if (!o.alive) continue;
-      if (!seen.insert(interner->Intern(o.signature_hash, o.paranoid_sig))
-               .second) {
-        continue;
+    Workflow* base_wf = &SurgeryBase(*cur.root);
+    Workflow* replayed = nullptr;
+    if (!cur.path.empty()) {
+      RootCache* rc = nullptr;
+      for (RootCache& r : roots) {
+        if (r.valid && r.hash == cur.root->signature_hash) rc = &r;
       }
-      ++budget->visited;
-      ETLOPT_ASSIGN_OR_RETURN(
-          State st,
-          MaterializeOutcome(*cur, candidates[i], o, eval, scratch));
-      StateRef sp = ShareState(std::move(st));
-      if (sp->cost < best->cost) best = sp;
-      queue.push_back(std::move(sp));
+      if (rc == nullptr) {
+        rc = !roots[0].valid ? &roots[0] : &roots[1];
+        rc->wf = cur.root->workflow;
+        rc->hash = cur.root->signature_hash;
+        rc->valid = true;
+      }
+      replayed = &rc->wf;
+      replayed->BeginSurgery(&path_log);
+      Status step = Status::OK();
+      for (const auto& [u, d] : cur.path) {
+        step = ApplySwapDirect(*replayed, u, d);
+        if (!step.ok()) break;
+      }
+      if (step.ok()) step = replayed->Refresh();
+      if (!step.ok()) {
+        replayed->RollbackSurgery();
+        return step;  // replay of accepted swaps: a real error
+      }
+      // The entry's breakdown is current for the reconstruction, so the
+      // dirty set restarts empty — candidate evaluations delta-recost only
+      // their own swap. Rollback restores the root's (empty) set.
+      replayed->ClearDirtyNodes();
+#ifdef ETLOPT_PARANOID_CHECKS
+      ETLOPT_CHECK(replayed->SignatureHash() == cur.figs.signature_hash);
+#endif
+      base_wf = replayed;
     }
+    const auto pairs = AdjacentPairsInGroup(*base_wf, group);
+    Status probed = Status::OK();
+    {
+      Prober prober(*base_wf, cur.figs, eval, log);
+      for (const auto& pair : pairs) {
+        probed =
+            prober
+                .Probe(SwapOf(pair.first, pair.second),
+                       [&](const Workflow&, NeighborEval& ne) {
+                         if (!seen.insert(interner->Intern(ne.signature_hash,
+                                                           ne.signature))
+                                  .second) {
+                           return;
+                         }
+                         ++budget->visited;
+                         Entry child{cur.root, cur.path, std::move(ne)};
+                         child.path.push_back(pair);
+                         if (child.figs.cost < best_cost) {
+                           best_cost = child.figs.cost;
+                           winner = child;
+                         }
+                         queue.push_back(std::move(child));
+                       })
+                .status();
+        if (!probed.ok()) break;
+      }
+    }
+    budget->generated += pairs.size();
+    if (replayed != nullptr) {
+      replayed->RollbackSurgery();
+#ifdef ETLOPT_PARANOID_CHECKS
+      ETLOPT_CHECK(replayed->SignatureHash() == cur.root->signature_hash);
+#endif
+    }
+    ETLOPT_RETURN_NOT_OK(probed);
   }
-  return best;
+  if (!winner.has_value()) return best;
+  // Materialize the winner: the single copy the whole BFS pays.
+  Workflow wf = winner->root->workflow;
+  for (const auto& [u, d] : winner->path) {
+    ETLOPT_RETURN_NOT_OK(ApplySwapDirect(wf, u, d));
+  }
+  ETLOPT_RETURN_NOT_OK(wf.Refresh());
+#ifdef ETLOPT_PARANOID_CHECKS
+  ETLOPT_CHECK(wf.SignatureHash() == winner->figs.signature_hash);
+#endif
+  return ShareState(eval.MaterializeState(std::move(wf), winner->figs));
 }
 
 // Splits every multi-member chain back into singleton nodes (the final
@@ -935,35 +564,16 @@ StatusOr<NodeId> FindNodeByActivityLabel(const Workflow& w,
   return found;
 }
 
-// Resolves num_threads (0 = hardware default) and builds a pool when the
-// run is actually parallel.
-std::unique_ptr<ThreadPool> MakePool(const SearchOptions& options,
-                                     size_t* threads_out) {
-  size_t threads = options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                            : options.num_threads;
-  *threads_out = threads;
-  if (threads <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(threads);
-}
-
 StatusOr<SearchResult> RunHeuristic(
     const Workflow& initial, const CostModel& model,
     const SearchOptions& options,
     const std::vector<MergeConstraint>& merge_constraints, bool greedy) {
   ETLOPT_RETURN_NOT_OK(ValidateSearchOptions(options));
   Budget budget(options);
-  StateEvaluator eval(model, /*fast_paths=*/!options.disable_fast_paths,
-                      options.cache_hint, options.reliability);
+  StateEvaluator eval(model, options.cache_hint, options.reliability);
   SignatureInterner interner;
-  size_t threads = 1;
-  std::unique_ptr<ThreadPool> pool = MakePool(options, &threads);
-  NeighborScratch scratch(threads);
-  const size_t copies0 = Workflow::TotalCopies();
-  const size_t undos0 = Workflow::TotalUndos();
-  // Zero-copy transition chains in Phases II/III ride on the same switch
-  // as the other fast paths, so the disable_fast_paths baseline keeps the
-  // copy-per-transition profile.
-  const bool zero_copy = eval.fast_paths();
+  ScratchSlot scratch;
+  Workflow::UndoLog log;
   Workflow w0 = initial;
   if (!w0.fresh()) {
     ETLOPT_RETURN_NOT_OK(w0.Refresh());
@@ -995,8 +605,8 @@ StatusOr<SearchResult> RunHeuristic(
     for (const auto& g : groups) {
       if (budget.Exhausted()) break;
       ETLOPT_ASSIGN_OR_RETURN(
-          cur, OptimizeGroupSwaps(cur, g.nodes, eval, pool.get(), &interner,
-                                  &scratch, greedy, options, &budget));
+          cur, OptimizeGroupSwaps(cur, g.nodes, eval, &interner, &scratch, log,
+                                  greedy, options, &budget));
     }
   }
   if (cur->cost < smin->cost) smin = cur;
@@ -1010,9 +620,9 @@ StatusOr<SearchResult> RunHeuristic(
   // forward to their binary. A successful factorization can expose a new
   // homologous pair one level up a union tree (the shared clone and its
   // counterpart on the sibling flow), so each seed pair cascades to a
-  // fixpoint. The shift/factorize chains are data-dependent, so this phase
-  // stays sequential; each chain delta-recosts against the state it was
-  // derived from.
+  // fixpoint. Each shift/factorize chain is one surgery session that
+  // delta-recosts against the state it was derived from; a structurally
+  // doomed first shift is screened out before the session even opens.
   for (const auto& h : homologous) {
     if (!options.enable_factorize) break;
     if (budget.Exhausted()) break;
@@ -1020,40 +630,11 @@ StatusOr<SearchResult> RunHeuristic(
     if (!base.Exists(h.a1) || !base.Exists(h.a2) || !base.Exists(h.binary))
       continue;
     std::string semantics = base.chain(h.a1).SemanticsString();
-    // The baseline pays one workflow copy per swap of the chain; the
-    // zero-copy path runs the whole chain as one surgery session on a
-    // scratch slot (a rejected chain rolls back without ever copying, and
-    // a structurally doomed first shift is screened out before the
-    // session even opens).
     ++budget.generated;
-    StateRef st;
-    if (zero_copy) {
-      if (!CanShiftForward(base, h.a1, h.binary)) continue;
-      ETLOPT_ASSIGN_OR_RETURN(
-          std::optional<State> got,
-          TryChainInPlace(
-              *smin,
-              [&](Workflow& wf) {
-                ETLOPT_RETURN_NOT_OK(ShiftForwardDirect(wf, h.a1, h.binary));
-                ETLOPT_RETURN_NOT_OK(ShiftForwardDirect(wf, h.a2, h.binary));
-                return ApplyFactorizeDirect(wf, h.binary, h.a1, h.a2);
-              },
-              eval, &scratch));
-      if (!got.has_value()) continue;
-      st = ShareState(std::move(*got));
-    } else {
-      auto shifted1 = ShiftForward(base, h.a1, h.binary);
-      if (!shifted1.ok()) continue;
-      auto shifted2 =
-          ShiftForward(std::move(shifted1).value(), h.a2, h.binary);
-      if (!shifted2.ok()) continue;
-      auto factored =
-          ApplyFactorize(std::move(shifted2).value(), h.binary, h.a1, h.a2);
-      if (!factored.ok()) continue;
-      ETLOPT_ASSIGN_OR_RETURN(
-          State stv, eval.EvalFrom(std::move(factored).value(), *smin));
-      st = ShareState(std::move(stv));
-    }
+    if (!CanShiftDownstream(base, h.a1, h.binary)) continue;
+    ETLOPT_ASSIGN_OR_RETURN(StateRef st,
+                            TryFactorizeChain(*smin, h, eval, log));
+    if (st == nullptr) continue;
     ++budget.visited;
     // Cascade: keep factorizing pairs with the same semantics.
     bool changed = true;
@@ -1062,34 +643,11 @@ StatusOr<SearchResult> RunHeuristic(
       for (const auto& hc : FindHomologousPairs(st->workflow)) {
         if (st->workflow.chain(hc.a1).SemanticsString() != semantics) continue;
         ++budget.generated;
-        if (zero_copy) {
-          if (!CanShiftForward(st->workflow, hc.a1, hc.binary)) continue;
-          ETLOPT_ASSIGN_OR_RETURN(
-              std::optional<State> got,
-              TryChainInPlace(
-                  *st,
-                  [&](Workflow& wf) {
-                    ETLOPT_RETURN_NOT_OK(
-                        ShiftForwardDirect(wf, hc.a1, hc.binary));
-                    ETLOPT_RETURN_NOT_OK(
-                        ShiftForwardDirect(wf, hc.a2, hc.binary));
-                    return ApplyFactorizeDirect(wf, hc.binary, hc.a1, hc.a2);
-                  },
-                  eval, &scratch));
-          if (!got.has_value()) continue;
-          st = ShareState(std::move(*got));
-        } else {
-          auto s1 = ShiftForward(st->workflow, hc.a1, hc.binary);
-          if (!s1.ok()) continue;
-          auto s2 = ShiftForward(std::move(s1).value(), hc.a2, hc.binary);
-          if (!s2.ok()) continue;
-          auto next =
-              ApplyFactorize(std::move(s2).value(), hc.binary, hc.a1, hc.a2);
-          if (!next.ok()) continue;
-          ETLOPT_ASSIGN_OR_RETURN(State nsv,
-                                  eval.EvalFrom(std::move(next).value(), *st));
-          st = ShareState(std::move(nsv));
-        }
+        if (!CanShiftDownstream(st->workflow, hc.a1, hc.binary)) continue;
+        ETLOPT_ASSIGN_OR_RETURN(StateRef next,
+                                TryFactorizeChain(*st, hc, eval, log));
+        if (next == nullptr) continue;
+        st = std::move(next);
         ++budget.visited;
         changed = true;
         break;
@@ -1104,7 +662,7 @@ StatusOr<SearchResult> RunHeuristic(
   // Phase II have fresh node ids, so they are naturally excluded). The
   // worklist includes states Phase III itself produces, so distributions
   // of *different* activities compose (e.g. two post-union filters both
-  // pushed into the flows). Sequential for the same reason as Phase II.
+  // pushed into the flows).
   std::deque<StateRef> worklist;
   std::set<uint64_t> queued;
   for (const auto& [sig, st] : visited) {
@@ -1122,125 +680,78 @@ StatusOr<SearchResult> RunHeuristic(
       // Distribute, then cascade the clones (identified by the carried
       // priority label) down through any further binary activities — a
       // selection above a union tree can be pushed into every leaf flow.
-      if (zero_copy) {
-        // The whole cascade advances one scratch workflow. Each step is
-        // its own surgery session — apply, evaluate, commit (or roll back
-        // just that step) — so the only copies a cascade pays are the
-        // slot sync at its start (free when the slot already mirrors
-        // `si`) and one per state it actually keeps: enqueued on the
-        // worklist or a new running minimum. Interior cascade depths that
-        // are neither come and go without ever being materialized.
-        const size_t slot =
-            scratch.AcquireSynced(si->workflow, si->signature_hash);
-        Workflow& wf = scratch.workflow(slot);
-        Workflow::UndoLog& log = scratch.log(slot);
-        State light;
-        light.cost = si->cost;
-        light.signature_hash = si->signature_hash;
-        light.breakdown = si->breakdown;
-        bool changed = true;
-        while (changed && !budget.Exhausted()) {
-          changed = false;
-          for (const auto& dc : FindDistributable(wf)) {
-            if (wf.PriorityLabelOf(dc.node) != plabel) continue;
-            ++budget.generated;
-            if (!CanShiftBackward(wf, dc.node, dc.binary)) continue;
-            wf.BeginSurgery(&log);
-            Status step = ShiftBackwardDirect(wf, dc.node, dc.binary);
-            if (step.ok()) {
-              step = ApplyDistributeDirect(wf, dc.binary, dc.node);
-            }
-            if (!step.ok()) {
-              wf.RollbackSurgery();
-#ifdef ETLOPT_PARANOID_CHECKS
-              ETLOPT_CHECK(wf.SignatureHash() == light.signature_hash);
-#endif
-              continue;
-            }
-            Status refreshed = wf.Refresh();
-            if (!refreshed.ok()) {
-              wf.RollbackSurgery();
-              return refreshed;  // transitions guarantee validity
-            }
-            auto ne = eval.EvalNeighbor(wf, light);
-            if (!ne.ok()) {
-              wf.RollbackSurgery();
-              return ne.status();
-            }
-            wf.CommitSurgery();
-            wf.ClearDirtyNodes();
-            // Until a twin is materialized below, the advanced slot has
-            // no durable source instance to be keyed on.
-            scratch.Rekey(slot, nullptr, ne.value().signature_hash);
-            light.cost = ne.value().cost;
-            light.signature_hash = ne.value().signature_hash;
-            light.breakdown = ne.value().breakdown;
-            ++budget.visited;
-            changed = true;
-            // Every cascade depth is a candidate: pushing all the way
-            // down is not always the cheapest placement. Past the
-            // composition cap, keep improving states only and stop
-            // re-enqueueing.
-            const bool enqueue =
-                queued
-                    .insert(interner.Intern(ne.value().signature_hash,
-                                            ne.value().signature))
-                    .second &&
-                visited.size() < options.max_phase3_states;
-            const bool improves = light.cost < smin->cost;
-            if (enqueue || improves) {
-              StateRef kept =
-                  ShareState(eval.MaterializeState(wf, ne.value()));
-              if (improves) smin = kept;
-              if (enqueue) {
-                visited.emplace(kept->signature_hash, kept);
-                worklist.push_back(kept);
-                // `kept` was copied from the slot, so the slot mirrors it
-                // byte-for-byte; keying the slot to `kept` lets the
-                // worklist pop of `kept` start its own cascades without a
-                // re-sync. `visited` keeps the instance alive (and its
-                // address stable) for the rest of the search.
-                scratch.Rekey(slot, &kept->workflow, kept->signature_hash);
-              }
-            }
-            break;
-          }
-        }
-        continue;
-      }
-      StateRef st = si;
+      //
+      // The whole cascade advances the scratch slot. Each step is its own
+      // surgery session — apply, evaluate, commit (or roll back just that
+      // step) — so the only copies a cascade pays are the slot sync at its
+      // start (free when the slot already mirrors `si`) and one per state
+      // it actually keeps: enqueued on the worklist or a new running
+      // minimum. Interior cascade depths that are neither come and go
+      // without ever being materialized.
+      Workflow& wf = scratch.Sync(si->workflow, si->signature_hash);
+      NeighborEval figs = FiguresOf(*si);
       bool changed = true;
-      bool any = false;
       while (changed && !budget.Exhausted()) {
         changed = false;
-        for (const auto& dc : FindDistributable(st->workflow)) {
-          if (st->workflow.PriorityLabelOf(dc.node) != plabel) continue;
+        for (const auto& dc : FindDistributable(wf)) {
+          if (wf.PriorityLabelOf(dc.node) != plabel) continue;
           ++budget.generated;
-          auto shifted = ShiftBackward(st->workflow, dc.node, dc.binary);
-          if (!shifted.ok()) continue;
-          auto dist =
-              ApplyDistribute(std::move(shifted).value(), dc.binary, dc.node);
-          if (!dist.ok()) continue;
-          ETLOPT_ASSIGN_OR_RETURN(State nsv,
-                                  eval.EvalFrom(std::move(dist).value(), *st));
-          st = ShareState(std::move(nsv));
+          if (!CanShiftUpstream(wf, dc.node, dc.binary)) continue;
+          wf.BeginSurgery(&log);
+          Status step = ShiftUpstream(wf, dc.node, dc.binary);
+          if (step.ok()) {
+            step = ApplyDistributeDirect(wf, dc.binary, dc.node);
+          }
+          if (!step.ok()) {
+            wf.RollbackSurgery();
+#ifdef ETLOPT_PARANOID_CHECKS
+            ETLOPT_CHECK(wf.SignatureHash() == figs.signature_hash);
+#endif
+            continue;
+          }
+          Status refreshed = wf.Refresh();
+          if (!refreshed.ok()) {
+            wf.RollbackSurgery();
+            return refreshed;  // transitions guarantee validity
+          }
+          auto ne = eval.EvalNeighbor(wf, *figs.breakdown);
+          if (!ne.ok()) {
+            wf.RollbackSurgery();
+            return ne.status();
+          }
+          wf.CommitSurgery();
+          wf.ClearDirtyNodes();
+          figs = std::move(ne).value();
+          // Until a twin is materialized below, the advanced slot has no
+          // durable source instance to be keyed on.
+          scratch.Rekey(nullptr, figs.signature_hash);
           ++budget.visited;
           changed = true;
-          any = true;
           // Every cascade depth is a candidate: pushing all the way down
-          // is not always the cheapest placement.
-          if (st->cost < smin->cost) smin = st;
-          // Bound the composition frontier: past the cap, keep improving
-          // states only and stop re-enqueueing.
-          if (queued.insert(interner.Intern(*st)).second &&
-              visited.size() < options.max_phase3_states) {
-            visited.emplace(st->signature_hash, st);
-            worklist.push_back(st);
+          // is not always the cheapest placement. Past the composition
+          // cap, keep improving states only and stop re-enqueueing.
+          const bool enqueue =
+              queued.insert(interner.Intern(figs.signature_hash, figs.signature))
+                  .second &&
+              visited.size() < options.max_phase3_states;
+          const bool improves = figs.cost < smin->cost;
+          if (enqueue || improves) {
+            StateRef kept = ShareState(eval.MaterializeState(wf, figs));
+            if (improves) smin = kept;
+            if (enqueue) {
+              visited.emplace(kept->signature_hash, kept);
+              worklist.push_back(kept);
+              // `kept` was copied from the slot, so the slot mirrors it
+              // byte-for-byte; keying the slot to `kept` lets the worklist
+              // pop of `kept` start its own cascades without a re-sync.
+              // `visited` keeps the instance alive (and its address
+              // stable) for the rest of the search.
+              scratch.Rekey(&kept->workflow, kept->signature_hash);
+            }
           }
           break;
         }
       }
-      if (!any) continue;
     }
   }
 
@@ -1269,8 +780,8 @@ StatusOr<SearchResult> RunHeuristic(
     for (const auto& g : FindLocalGroups(c->workflow)) {
       if (budget.Exhausted()) break;
       ETLOPT_ASSIGN_OR_RETURN(
-          c, OptimizeGroupSwaps(c, g.nodes, eval, pool.get(), &interner,
-                                &scratch, greedy, options, &budget));
+          c, OptimizeGroupSwaps(c, g.nodes, eval, &interner, &scratch, log,
+                                greedy, options, &budget));
     }
     if (c->cost < smin->cost) smin = c;
   }
@@ -1281,16 +792,11 @@ StatusOr<SearchResult> RunHeuristic(
                           eval.EvalFrom(std::move(split), *smin));
 
   result.best = std::move(final_state);
-  if (result.best.signature.empty()) {
-    result.best.signature = result.best.workflow.Signature();
-  }
+  result.best.signature = result.best.workflow.Signature();
   result.visited_states = budget.visited;
   result.elapsed_millis = budget.ElapsedMillis();
   result.exhausted = !budget.Exhausted();
   result.perf = eval.perf();
-  result.perf.threads = threads;
-  result.perf.workflow_copies = Workflow::TotalCopies() - copies0;
-  result.perf.undo_applies = Workflow::TotalUndos() - undos0;
   ETLOPT_RETURN_NOT_OK(FinalizeRecoveryPlan(result, model, options));
   return result;
 }
@@ -1406,16 +912,19 @@ StatusOr<State> MakeState(Workflow workflow, const CostModel& model) {
 
 StatusOr<std::vector<std::pair<State, TransitionRecord>>> EnumerateSuccessors(
     const State& state, const CostModel& model) {
-  std::vector<Candidate> candidates =
-      CollectSuccessorCandidates(state.workflow);
+  // One scratch copy of the base hosts every candidate in turn; each legal
+  // successor is copied out while it is applied, then rolled back.
+  Workflow scratch = state.workflow;
+  Workflow::UndoLog log;
+  std::vector<Candidate> candidates = CollectSuccessorCandidates(scratch);
   std::vector<std::pair<State, TransitionRecord>> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates) {
-    auto trial = c.apply();
-    if (!trial.ok()) continue;
-    ETLOPT_ASSIGN_OR_RETURN(State st,
-                            MakeState(std::move(trial).value(), model));
-    out.emplace_back(std::move(st), c.rec);
+    if (!c.apply(scratch, log).ok()) continue;
+    auto st = MakeState(scratch, model);
+    scratch.RollbackSurgery();
+    ETLOPT_RETURN_NOT_OK(st.status());
+    out.emplace_back(std::move(st).value(), c.rec);
   }
   return out;
 }
@@ -1425,14 +934,9 @@ StatusOr<SearchResult> ExhaustiveSearch(const Workflow& initial,
                                         const SearchOptions& options) {
   ETLOPT_RETURN_NOT_OK(ValidateSearchOptions(options));
   Budget budget(options);
-  StateEvaluator eval(model, /*fast_paths=*/!options.disable_fast_paths,
-                      options.cache_hint, options.reliability);
+  StateEvaluator eval(model, options.cache_hint, options.reliability);
   SignatureInterner interner;
-  size_t threads = 1;
-  std::unique_ptr<ThreadPool> pool = MakePool(options, &threads);
-  NeighborScratch scratch(threads);
-  const size_t copies0 = Workflow::TotalCopies();
-  const size_t undos0 = Workflow::TotalUndos();
+  Workflow::UndoLog log;
   Workflow w0 = initial;
   if (!w0.fresh()) {
     ETLOPT_RETURN_NOT_OK(w0.Refresh());
@@ -1459,27 +963,29 @@ StatusOr<SearchResult> ExhaustiveSearch(const Workflow& initial,
     }
     StateRef cur = std::move(queue.front());
     queue.pop_front();
-    // The whole frontier of `cur` is evaluated (in parallel when a pool is
-    // set); dedup against `visited` and winner selection stay sequential
-    // in candidate order, matching the serial algorithm state for state.
+    // Each candidate is probed on `cur`'s own workflow; a successor not
+    // seen before is copied out (its one copy) before the rollback.
     std::vector<Candidate> candidates =
         CollectSuccessorCandidates(cur->workflow);
-    ETLOPT_ASSIGN_OR_RETURN(
-        auto outcomes, EvalCandidates(cur->workflow, *cur, candidates, eval,
-                                      pool.get(), &scratch));
     budget.generated += candidates.size();
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      CandidateOutcome& o = outcomes[i];
-      if (!o.alive) continue;
-      if (!visited.insert(interner.Intern(o.signature_hash, o.paranoid_sig))
-               .second) {
-        continue;
-      }
-      ETLOPT_ASSIGN_OR_RETURN(
-          State st, MaterializeOutcome(*cur, candidates[i], o, eval, &scratch));
-      StateRef sp = ShareState(std::move(st));
+    Prober prober(SurgeryBase(*cur), FiguresOf(*cur), eval, log);
+    for (const Candidate& c : candidates) {
+      StateRef sp;
+      ETLOPT_RETURN_NOT_OK(
+          prober
+              .Probe(c.apply,
+                     [&](const Workflow& applied, NeighborEval& ne) {
+                       if (visited
+                               .insert(interner.Intern(ne.signature_hash,
+                                                       ne.signature))
+                               .second) {
+                         sp = ShareState(eval.MaterializeState(applied, ne));
+                       }
+                     })
+              .status());
+      if (sp == nullptr) continue;
       parent.emplace(sp->signature_hash,
-                     std::make_pair(cur->signature_hash, candidates[i].rec));
+                     std::make_pair(cur->signature_hash, c.rec));
       ++budget.visited;
       if (sp->cost < best->cost) best = sp;
       queue.push_back(std::move(sp));
@@ -1499,16 +1005,11 @@ StatusOr<SearchResult> ExhaustiveSearch(const Workflow& initial,
   }
   std::reverse(result.best_path.begin(), result.best_path.end());
   result.best = *best;
-  if (result.best.signature.empty()) {
-    result.best.signature = result.best.workflow.Signature();
-  }
+  result.best.signature = result.best.workflow.Signature();
   result.visited_states = budget.visited;
   result.elapsed_millis = budget.ElapsedMillis();
   result.exhausted = complete;
   result.perf = eval.perf();
-  result.perf.threads = threads;
-  result.perf.workflow_copies = Workflow::TotalCopies() - copies0;
-  result.perf.undo_applies = Workflow::TotalUndos() - undos0;
   ETLOPT_RETURN_NOT_OK(FinalizeRecoveryPlan(result, model, options));
   return result;
 }

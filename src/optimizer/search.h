@@ -16,8 +16,7 @@
 namespace etlopt {
 
 /// Costs and signs a workflow (refreshing it if needed). Always fills the
-/// string signature; the search algorithms' internal fast paths use
-/// StateEvaluator instead.
+/// string signature; the search algorithms use StateEvaluator instead.
 StatusOr<State> MakeState(Workflow workflow, const CostModel& model);
 
 /// A description of one applied transition, for tracing.
@@ -29,7 +28,9 @@ struct TransitionRecord {
 
 /// All states one transition away from `state` (SWA, FAC, DIS — the
 /// cost-relevant transitions; MER/SPL only reshape the search space).
-/// Each successor is paired with the transition that produced it.
+/// Each successor is paired with the transition that produced it, and is
+/// built by in-place surgery on one scratch copy of `state` plus one copy
+/// of the successor itself.
 StatusOr<std::vector<std::pair<State, TransitionRecord>>> EnumerateSuccessors(
     const State& state, const CostModel& model);
 
@@ -47,18 +48,6 @@ struct SearchOptions {
   size_t max_phase3_states = 192;
   /// HS: Phase IV re-sweeps only the this-many cheapest visited states.
   size_t max_phase4_states = 16;
-
-  /// Worker threads for frontier expansion (candidate successors of one
-  /// state are evaluated concurrently; winner selection stays sequential,
-  /// so results are byte-identical to a serial run). 1 = serial,
-  /// 0 = ThreadPool::DefaultThreads().
-  size_t num_threads = 1;
-
-  /// Benchmark baseline knob: disables delta recosting and signature
-  /// hashing's string-elision (every state is fully recosted and its
-  /// string signature materialized). Search behavior and results are
-  /// identical either way; only the cost profile changes.
-  bool disable_fast_paths = false;
 
   /// HS/HS-Greedy ablation toggles; all true reproduces the paper's
   /// algorithm. Used by the heuristic-ablation bench to measure each
@@ -90,14 +79,12 @@ struct SearchOptions {
 /// calls this before doing any work.
 Status ValidateSearchOptions(const SearchOptions& options);
 
-/// Canonical string of exactly the options that can change a search's
-/// *result* (budgets, per-phase caps, ablation toggles). num_threads and
-/// disable_fast_paths are deliberately excluded: results are byte-identical
-/// across them by construction, so the serving layer's plan cache must not
-/// split entries on them. Note max_millis *is* included — a wall-clock
-/// budget that actually fires makes results timing-dependent, so cached
-/// serving assumes deadlines generous enough that the state budget binds
-/// first.
+/// Canonical string of the options that can change a search's *result*
+/// (budgets, per-phase caps, ablation toggles, and the cache and
+/// reliability hooks when set) — the serving layer's plan cache keys on
+/// it. Note max_millis *is* included — a wall-clock budget that actually
+/// fires makes results timing-dependent, so cached serving assumes
+/// deadlines generous enough that the state budget binds first.
 std::string ResultFingerprint(const SearchOptions& options);
 
 /// User-supplied merge constraints for HS pre-processing: activities are
@@ -120,7 +107,7 @@ struct SearchResult {
   /// track lineage; their vector stays empty.
   std::vector<TransitionRecord> best_path;
   /// How the run spent its costing work (delta vs full recosts, node
-  /// cache hits, thread count).
+  /// cache hits, workflow copies).
   SearchPerf perf;
 
   /// The recovery-point decision for `best`. Enabled (and non-trivial)

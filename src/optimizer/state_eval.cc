@@ -1,5 +1,6 @@
 #include "optimizer/state_eval.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
@@ -8,12 +9,10 @@ namespace etlopt {
 
 namespace {
 
-State FinishState(Workflow workflow, CostBreakdown bd, double cost,
-                  bool materialize_sig) {
+State FinishState(Workflow workflow, CostBreakdown bd, double cost) {
   State s;
   s.cost = cost;
   s.signature_hash = workflow.SignatureHash();
-  if (materialize_sig) s.signature = workflow.Signature();
   s.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
   // The stored state is the new base: its figures are current, so the
   // dirty set restarts empty for the transitions derived from it.
@@ -30,25 +29,18 @@ StatusOr<State> StateEvaluator::Eval(Workflow workflow) const {
   }
   ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd,
                           ComputeCostBreakdown(workflow, model_));
-  full_recosts_.fetch_add(1, std::memory_order_relaxed);
+  ++perf_.full_recosts;
   TrackPeakStateBytes(workflow.ApproxMemoryBytes());
   double cost = EffectiveCost(workflow, bd);
-  return FinishState(std::move(workflow), std::move(bd), cost,
-                     /*materialize_sig=*/!fast_paths_);
+  return FinishState(std::move(workflow), std::move(bd), cost);
 }
 
-StatusOr<State> StateEvaluator::EvalFrom(Workflow workflow,
-                                         const State& base) const {
-  if (!fast_paths_ || base.breakdown == nullptr) {
-    return Eval(std::move(workflow));
-  }
-  if (!workflow.fresh()) {
-    ETLOPT_RETURN_NOT_OK(workflow.Refresh());
-  }
+StatusOr<CostBreakdown> StateEvaluator::DeltaRecost(
+    const Workflow& workflow, const CostBreakdown& base) const {
   CostReuseStats stats;
   ETLOPT_ASSIGN_OR_RETURN(
       CostBreakdown bd,
-      IncrementalCostBreakdown(workflow, *base.breakdown, model_, &stats));
+      IncrementalCostBreakdown(workflow, base, model_, &stats));
 #ifdef ETLOPT_PARANOID_CHECKS
   {
     auto full = ComputeCostBreakdown(workflow, model_);
@@ -61,47 +53,30 @@ StatusOr<State> StateEvaluator::EvalFrom(Workflow workflow,
                  full.value().node_input_cardinality);
   }
 #endif
-  delta_recosts_.fetch_add(1, std::memory_order_relaxed);
-  reused_nodes_.fetch_add(stats.reused_nodes, std::memory_order_relaxed);
-  recosted_nodes_.fetch_add(stats.recosted_nodes, std::memory_order_relaxed);
-  double cost = EffectiveCost(workflow, bd);
-  return FinishState(std::move(workflow), std::move(bd), cost,
-                     /*materialize_sig=*/false);
+  ++perf_.delta_recosts;
+  perf_.reused_nodes += stats.reused_nodes;
+  perf_.recosted_nodes += stats.recosted_nodes;
+  return bd;
 }
 
-StatusOr<NeighborEval> StateEvaluator::EvalNeighbor(const Workflow& applied,
-                                                    const State& base) const {
-  ETLOPT_CHECK(applied.fresh());
-  NeighborEval ne;
-  if (fast_paths_ && base.breakdown != nullptr) {
-    CostReuseStats stats;
-    ETLOPT_ASSIGN_OR_RETURN(
-        CostBreakdown bd,
-        IncrementalCostBreakdown(applied, *base.breakdown, model_, &stats));
-#ifdef ETLOPT_PARANOID_CHECKS
-    {
-      auto full = ComputeCostBreakdown(applied, model_);
-      ETLOPT_CHECK_OK(full.status());
-      ETLOPT_CHECK(bd.total == full.value().total);
-      ETLOPT_CHECK(bd.node_cost == full.value().node_cost);
-      ETLOPT_CHECK(bd.node_output_cardinality ==
-                   full.value().node_output_cardinality);
-      ETLOPT_CHECK(bd.node_input_cardinality ==
-                   full.value().node_input_cardinality);
-    }
-#endif
-    delta_recosts_.fetch_add(1, std::memory_order_relaxed);
-    reused_nodes_.fetch_add(stats.reused_nodes, std::memory_order_relaxed);
-    recosted_nodes_.fetch_add(stats.recosted_nodes, std::memory_order_relaxed);
-    ne.cost = EffectiveCost(applied, bd);
-    ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
-  } else {
-    ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd,
-                            ComputeCostBreakdown(applied, model_));
-    full_recosts_.fetch_add(1, std::memory_order_relaxed);
-    ne.cost = EffectiveCost(applied, bd);
-    ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
+StatusOr<State> StateEvaluator::EvalFrom(Workflow workflow,
+                                         const State& base) const {
+  if (!workflow.fresh()) {
+    ETLOPT_RETURN_NOT_OK(workflow.Refresh());
   }
+  ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd,
+                          DeltaRecost(workflow, *base.breakdown));
+  double cost = EffectiveCost(workflow, bd);
+  return FinishState(std::move(workflow), std::move(bd), cost);
+}
+
+StatusOr<NeighborEval> StateEvaluator::EvalNeighbor(
+    const Workflow& applied, const CostBreakdown& base) const {
+  ETLOPT_CHECK(applied.fresh());
+  ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd, DeltaRecost(applied, base));
+  NeighborEval ne;
+  ne.cost = EffectiveCost(applied, bd);
+  ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
   ne.signature_hash = applied.SignatureHash();
 #ifdef ETLOPT_PARANOID_CHECKS
   ne.signature = applied.Signature();
@@ -109,19 +84,7 @@ StatusOr<NeighborEval> StateEvaluator::EvalNeighbor(const Workflow& applied,
   return ne;
 }
 
-State StateEvaluator::MaterializeState(const Workflow& applied,
-                                       const NeighborEval& ne) const {
-  State s;
-  s.workflow = applied;  // the single counted copy of a surviving neighbor
-  s.workflow.ClearDirtyNodes();
-  s.cost = ne.cost;
-  s.signature_hash = ne.signature_hash;
-  s.breakdown = ne.breakdown;
-  TrackPeakStateBytes(s.workflow.ApproxMemoryBytes());
-  return s;
-}
-
-State StateEvaluator::MaterializeState(Workflow&& applied,
+State StateEvaluator::MaterializeState(Workflow applied,
                                        const NeighborEval& ne) const {
   State s;
   s.workflow = std::move(applied);
@@ -131,12 +94,6 @@ State StateEvaluator::MaterializeState(Workflow&& applied,
   s.breakdown = ne.breakdown;
   TrackPeakStateBytes(s.workflow.ApproxMemoryBytes());
   return s;
-}
-
-void StateEvaluator::ParanoidCheckRestore(const Workflow& restored,
-                                          const State& base) const {
-  ParanoidCheckRestore(restored, base.workflow, base.signature_hash,
-                       base.cost);
 }
 
 void StateEvaluator::ParanoidCheckRestore(const Workflow& restored,
@@ -195,19 +152,18 @@ double StateEvaluator::CacheDiscountedCost(const Workflow& workflow,
 }
 
 void StateEvaluator::TrackPeakStateBytes(size_t bytes) const {
-  size_t prev = peak_state_bytes_.load(std::memory_order_relaxed);
-  while (bytes > prev && !peak_state_bytes_.compare_exchange_weak(
-                             prev, bytes, std::memory_order_relaxed)) {
-  }
+  perf_.peak_state_bytes = std::max(perf_.peak_state_bytes, bytes);
+}
+
+Workflow StateEvaluator::ParanoidTwin(const Workflow& workflow) const {
+  ++twin_copies_;
+  return workflow;
 }
 
 SearchPerf StateEvaluator::perf() const {
-  SearchPerf p;
-  p.full_recosts = full_recosts_.load(std::memory_order_relaxed);
-  p.delta_recosts = delta_recosts_.load(std::memory_order_relaxed);
-  p.reused_nodes = reused_nodes_.load(std::memory_order_relaxed);
-  p.recosted_nodes = recosted_nodes_.load(std::memory_order_relaxed);
-  p.peak_state_bytes = peak_state_bytes_.load(std::memory_order_relaxed);
+  SearchPerf p = perf_;
+  p.workflow_copies = Workflow::TotalCopies() - copies0_ - twin_copies_;
+  p.undo_applies = Workflow::TotalUndos() - undos0_;
   return p;
 }
 

@@ -1,12 +1,11 @@
-// State evaluation for the search algorithms: costing, signing, and the
-// perf machinery behind the fast search paths — delta recosting against a
-// base state's cached CostBreakdown and hashed signatures that avoid
-// materializing the canonical string on the hot path.
+// State evaluation for the search algorithms: costing and signing by
+// delta recosting against a base state's cached CostBreakdown, with hashed
+// signatures that avoid materializing the canonical string on the hot
+// path.
 
 #ifndef ETLOPT_OPTIMIZER_STATE_EVAL_H_
 #define ETLOPT_OPTIMIZER_STATE_EVAL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -68,7 +67,7 @@ struct State {
   /// algorithms key their visited/queued sets on.
   uint64_t signature_hash = 0;
 
-  /// Canonical string signature. The fast search paths leave this empty
+  /// Canonical string signature. The search algorithms leave this empty
   /// for interior states and materialize it only for the states they
   /// return; MakeState and EnumerateSuccessors always fill it.
   std::string signature;
@@ -80,9 +79,10 @@ struct State {
 
 /// The light evaluation of a neighbor produced by in-place transition
 /// surgery: everything the search needs to decide the neighbor's fate
-/// (visited-set identity, cost comparison) without materializing a State.
-/// Only a neighbor that survives is promoted via MaterializeState — that
-/// is the single full Workflow copy on the zero-copy path.
+/// (visited-set identity, cost comparison) without materializing a State,
+/// and to probe further transitions against it. Only a neighbor that
+/// survives is promoted via MaterializeState — that is the single full
+/// Workflow copy a neighbor can cost.
 struct NeighborEval {
   uint64_t signature_hash = 0;
   double cost = 0.0;
@@ -103,21 +103,18 @@ struct SearchPerf {
   /// Node-level cache behavior across all delta recosts.
   size_t reused_nodes = 0;
   size_t recosted_nodes = 0;
-  /// Worker threads the run fanned out over (1 = serial).
-  size_t threads = 1;
   /// Full Workflow copies made during the run (delta of the process-wide
   /// Workflow::TotalCopies() counter — approximate when other searches run
-  /// concurrently in the same process). The zero-copy neighbor path keeps
-  /// this near the number of *enqueued* states; the baseline pays one per
-  /// generated candidate.
+  /// concurrently in the same process). In-place neighbor evaluation keeps
+  /// this near the number of *enqueued* states. The twin copies paranoid
+  /// builds take for their restore checks are left out, so every build
+  /// reports the same count.
   size_t workflow_copies = 0;
   /// Surgery sessions rolled back (Workflow::TotalUndos() delta) — the
   /// neighbors that were evaluated in place instead of being copied.
   size_t undo_applies = 0;
   /// Largest ApproxMemoryBytes() over the states this run materialized
-  /// (from-scratch evals and promoted neighbors; the baseline path's
-  /// interior candidates are deliberately not measured — sizing them would
-  /// add per-candidate work to the path being benchmarked against).
+  /// (from-scratch evals and promoted neighbors).
   size_t peak_state_bytes = 0;
 
   /// Share of states costed by delta rather than from scratch.
@@ -132,16 +129,10 @@ struct SearchPerf {
   }
 };
 
-/// Costs and signs workflows on behalf of one search run. Thread-safe:
-/// worker threads evaluate candidates concurrently; the counters are
-/// relaxed atomics read once at the end of the run.
-///
-/// With fast_paths (the default), Eval/EvalFrom hash signatures instead of
-/// materializing strings and EvalFrom recosts only the delta a transition
-/// touched. With fast_paths off (SearchOptions::disable_fast_paths — the
-/// benchmark baseline), every state is fully recosted and its string
-/// signature materialized, reproducing the pre-optimization cost profile
-/// while keeping identical search behavior.
+/// Costs and signs workflows on behalf of one search run. States are
+/// signed by hash (no canonical string), and a state derived from a base
+/// is recosted only for the delta its transitions touched. Not
+/// thread-safe: one search run owns one evaluator.
 class StateEvaluator {
  public:
   /// `hint` (optional, unowned, may outlive-checked by caller) turns on
@@ -151,61 +142,52 @@ class StateEvaluator {
   /// the expected checkpoint + recovery cost of the state's optimal
   /// recovery-point placement (see cost/reliability_model.h) on top;
   /// null reproduces legacy costing bit for bit.
-  StateEvaluator(const CostModel& model, bool fast_paths,
-                 const CacheCostHint* hint = nullptr,
-                 const ReliabilityParams* reliability = nullptr)
-      : model_(model),
-        fast_paths_(fast_paths),
-        hint_(hint),
-        reliability_(reliability) {}
+  explicit StateEvaluator(const CostModel& model,
+                          const CacheCostHint* hint = nullptr,
+                          const ReliabilityParams* reliability = nullptr)
+      : model_(model), hint_(hint), reliability_(reliability) {}
 
   /// Costs and signs a workflow from scratch (refreshing if needed).
   StatusOr<State> Eval(Workflow workflow) const;
 
   /// Costs and signs a workflow derived from `base` by transitions,
   /// reusing the base's per-node figures for everything the transitions
-  /// did not touch (see IncrementalCostBreakdown). Exact: debug builds
-  /// assert the delta recost equals a full recost bit for bit.
+  /// did not touch (see IncrementalCostBreakdown). `base` must carry a
+  /// breakdown, as every State built by Eval or MakeState does. Exact:
+  /// paranoid builds assert the delta recost equals a full recost bit for
+  /// bit.
   StatusOr<State> EvalFrom(Workflow workflow, const State& base) const;
 
-  /// Light evaluation of a neighbor mutated in place from `base`'s
-  /// workflow (the surgery session is still open): hashes its signature
-  /// and delta-costs it against the base without copying the workflow or
-  /// building a State. Counter behavior matches EvalFrom exactly — one
-  /// delta (or full) recost per call — so A/B perf lines stay comparable.
+  /// Light evaluation of a neighbor mutated in place from a base workflow
+  /// whose breakdown is `base` (the surgery session is still open): hashes
+  /// its signature and delta-costs it against the base without copying
+  /// the workflow or building a State. Counts one delta recost per call,
+  /// as EvalFrom does.
   StatusOr<NeighborEval> EvalNeighbor(const Workflow& applied,
-                                      const State& base) const;
+                                      const CostBreakdown& base) const;
 
-  /// Promotes a surviving neighbor to a State: takes THE copy of the
-  /// still-mutated scratch workflow and attaches the figures already
-  /// computed by EvalNeighbor (no recosting). The caller rolls the
-  /// scratch back afterwards.
-  State MaterializeState(const Workflow& applied,
-                         const NeighborEval& ne) const;
-
-  /// Move form: steals an already-committed scratch workflow outright (no
-  /// copy at all). The caller must CommitSurgery() first and treat the
-  /// scratch slot as consumed afterwards.
-  State MaterializeState(Workflow&& applied, const NeighborEval& ne) const;
+  /// Promotes a surviving neighbor to a State with the figures EvalNeighbor
+  /// already computed (no recosting). Passing the still-mutated workflow
+  /// by const reference pays THE copy of the neighbor (the caller rolls
+  /// back afterwards); moving in an already-committed scratch workflow
+  /// copies nothing, and the scratch counts as consumed.
+  State MaterializeState(Workflow applied, const NeighborEval& ne) const;
 
   /// Paranoid-build assertion that an apply→undo round trip restored the
-  /// parent exactly: DebugEquals, signature hash, and cost bits (full
-  /// recost of the restored workflow == base.cost). No-op in release
-  /// builds without ETLOPT_PARANOID.
-  void ParanoidCheckRestore(const Workflow& restored, const State& base) const;
-
-  /// Same assertion against a bare base workflow plus its figures, for
-  /// callers whose base is a light state (no materialized workflow).
+  /// base exactly: DebugEquals against `base_wf` (an untouched twin of the
+  /// base), the base's signature hash, and its cost bits (full recost of
+  /// the restored workflow == base_cost). No-op in release builds without
+  /// ETLOPT_PARANOID.
   void ParanoidCheckRestore(const Workflow& restored, const Workflow& base_wf,
                             uint64_t base_hash, double base_cost) const;
 
-  /// True when the fast paths (delta recosting, hashed signatures, and
-  /// zero-copy neighbor generation) are enabled for this run.
-  bool fast_paths() const { return fast_paths_; }
+  /// A copy of `workflow` for ParanoidCheckRestore to compare against.
+  /// Twins are check instrumentation, so perf() leaves them out of
+  /// workflow_copies.
+  Workflow ParanoidTwin(const Workflow& workflow) const;
 
-  /// Snapshot of the counters (threads, workflow_copies and undo_applies
-  /// are left at their defaults; the search run fills them in from the
-  /// process-wide Workflow counters).
+  /// Snapshot of the counters. workflow_copies and undo_applies count from
+  /// this evaluator's construction.
   SearchPerf perf() const;
 
   /// The cost this evaluator assigns a fresh workflow given its exact
@@ -221,29 +203,31 @@ class StateEvaluator {
   double CacheDiscountedCost(const Workflow& workflow,
                              const CostBreakdown& bd) const;
 
+  /// The exact breakdown of `workflow`, delta-recosted against `base`
+  /// (paranoid builds assert it equals a full recost bit for bit).
+  StatusOr<CostBreakdown> DeltaRecost(const Workflow& workflow,
+                                      const CostBreakdown& base) const;
+
   void TrackPeakStateBytes(size_t bytes) const;
 
   const CostModel& model_;
-  const bool fast_paths_;
   const CacheCostHint* hint_ = nullptr;
   const ReliabilityParams* reliability_ = nullptr;
-  mutable std::atomic<size_t> full_recosts_{0};
-  mutable std::atomic<size_t> delta_recosts_{0};
-  mutable std::atomic<size_t> reused_nodes_{0};
-  mutable std::atomic<size_t> recosted_nodes_{0};
-  mutable std::atomic<size_t> peak_state_bytes_{0};
+  mutable SearchPerf perf_;
+  const size_t copies0_ = Workflow::TotalCopies();
+  const size_t undos0_ = Workflow::TotalUndos();
+  mutable size_t twin_copies_ = 0;
 };
 
 /// Guards the "equal hashes mean equal states" assumption the search sets
 /// rely on. In release builds Intern() is a pass-through; with paranoid
 /// checks it records every hash's string signature and aborts on a
 /// collision (two distinct signatures, one hash) or an inconsistency.
-/// Not thread-safe — call only from the sequential merge points.
 class SignatureInterner {
  public:
   uint64_t Intern(const State& state);
 
-  /// Hash-first form for the zero-copy path, where no State exists yet.
+  /// Hash-first form for in-place neighbors, where no State exists yet.
   /// `signature` is consulted only under paranoid checks (NeighborEval
   /// fills it there; it may stay empty in release builds).
   uint64_t Intern(uint64_t hash, const std::string& signature);

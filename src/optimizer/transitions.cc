@@ -65,7 +65,7 @@ Status CheckBinaryActivityNode(const Workflow& w, NodeId id, const char* role) {
 // Both the copy-based and the in-place path of each transition run the
 // same precheck (on the unmodified workflow) and the same surgery body
 // (on the copy / under the undo log), so they accept and reject
-// identically — the byte-identical A/B guarantee hangs on this split.
+// identically and produce byte-identical workflows.
 
 Status CheckSwapPre(const Workflow& w, NodeId a1, NodeId a2) {
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a1, "swap"));

@@ -4,9 +4,7 @@
 // Key = (workflow signature hash) x (request context hash), where the
 // context covers everything else that can change the answer: algorithm,
 // cost-model fingerprint, result-affecting search options, and merge
-// constraints. num_threads and disable_fast_paths are excluded on
-// purpose — results are byte-identical across them (PR 2's guarantee), so
-// splitting cache entries on them would only lower the hit rate.
+// constraints.
 //
 // Concurrency: N-way sharding (per-shard mutex, LRU list and byte
 // budget) keeps unrelated requests from contending, and single-flight

@@ -177,20 +177,6 @@ TEST(OptimizerServiceTest, DistinctOptionsGetDistinctEntries) {
   EXPECT_EQ(stats.cache.entries, 3u);
 }
 
-TEST(OptimizerServiceTest, ThreadKnobVariantsShareOneEntry) {
-  LinearLogCostModel model;
-  OptimizerService service(model, {});
-  OptimizeRequest a = RequestFor(4);
-  OptimizeRequest b = RequestFor(4);
-  b.options.num_threads = 4;
-  b.options.disable_fast_paths = true;
-  ASSERT_TRUE(service.Optimize(std::move(a)).ok());
-  auto second = service.Optimize(std::move(b));
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(service.Stats().searches_run, 1u);
-}
-
 TEST(OptimizerServiceTest, PlansSurviveRestart) {
   LinearLogCostModel model;
   std::string path = TempPath("optimizer_service_plans.etlplan");

@@ -44,32 +44,6 @@ TEST(PlanCacheKeyTest, ContextHashSeparatesRequests) {
             HashRequestContext("hs", "m", "o", "a+b"));
 }
 
-TEST(PlanCacheKeyTest, ThreadKnobsDoNotSplitEntries) {
-  // num_threads and disable_fast_paths are excluded from the options
-  // fingerprint: results are byte-identical across them, so requests that
-  // differ only there must share one cache entry.
-  auto generated = GenerateWorkflow({});
-  ASSERT_TRUE(generated.ok());
-  LinearLogCostModel model;
-  SearchOptions a;
-  SearchOptions b;
-  b.num_threads = 8;
-  b.disable_fast_paths = true;
-  auto ka = MakePlanCacheKey(generated->workflow, SearchAlgorithm::kHeuristic,
-                             model, a, {});
-  auto kb = MakePlanCacheKey(generated->workflow, SearchAlgorithm::kHeuristic,
-                             model, b, {});
-  ASSERT_TRUE(ka.ok() && kb.ok());
-  EXPECT_TRUE(*ka == *kb);
-
-  SearchOptions c;
-  c.max_states = a.max_states / 2;  // a result-affecting knob
-  auto kc = MakePlanCacheKey(generated->workflow, SearchAlgorithm::kHeuristic,
-                             model, c, {});
-  ASSERT_TRUE(kc.ok());
-  EXPECT_FALSE(*ka == *kc);
-}
-
 TEST(PlanCacheTest, LookupMissesThenHits) {
   PlanCache cache;
   EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
